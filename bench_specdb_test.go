@@ -152,6 +152,22 @@ func ingestBatched(tb testing.TB, path string, specs []*Spec) {
 	}
 }
 
+// ingestCounted is the batched import on a fresh store handle, returning
+// the handle's stats once the import has folded everything: the write
+// work it did, the key count and the commit sequence.
+func ingestCounted(tb testing.TB, path string, specs []*Spec) specdb.StoreStats {
+	tb.Helper()
+	st, err := specdb.CreateOptions(path, specdb.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer st.Close()
+	if _, _, err := st.ImportSpecs(specs); err != nil {
+		tb.Fatal(err)
+	}
+	return st.Stats()
+}
+
 // BenchmarkSpecIngest pins the bulk-ingestion claim behind the WAL
 // group-commit path: "cold" commits every spec as its own transaction,
 // "batched" is the same corpus through ImportSpecs with the default
@@ -173,6 +189,11 @@ func BenchmarkSpecIngest(b *testing.B) {
 			b.StartTimer()
 			ingestBatched(b, path, specs)
 		}
+		b.StopTimer()
+		work := ingestCounted(b, filepath.Join(b.TempDir(), "counted.specdb"), specs)
+		b.ReportMetric(float64(work.PagesSealed), "pages-sealed/op")
+		b.ReportMetric(float64(work.PageBytesWritten), "page-bytes/op")
+		b.ReportMetric(float64(work.Fsyncs), "fsyncs/op")
 	})
 }
 
@@ -223,5 +244,49 @@ func TestSpecIngestSpeedup(t *testing.T) {
 		cold/1e6, batched/1e6, speedup)
 	if speedup < 10 {
 		t.Errorf("batched ingest is only %.2fx faster than per-spec commits, want >= 10x", speedup)
+	}
+}
+
+// Exact write work of ingesting the 1k-spec benchIngestSpecs corpus with
+// the default commit policy (four folds). Seal-once made these figures;
+// a change that does more work per spec fails TestSpecIngestWorkCounts
+// on any disk.
+const (
+	ingestPagesSealedPer1k = 628
+	ingestPageBytesPer1k   = 628 * specdb.PageSize
+)
+
+// TestSpecIngestWorkCounts pins the batched import's write work with
+// deterministic counts next to the wall-clock floor of
+// TestSpecIngestSpeedup: every page sealed is written exactly once
+// (seal-once), the fsyncs are one at create plus three per fold (WAL,
+// pages, meta), and the pages sealed and bytes written per 1k specs
+// stay at or below the checked-in figures.
+func TestSpecIngestWorkCounts(t *testing.T) {
+	specs := benchIngestSpecs(t, 1000)
+	path := filepath.Join(t.TempDir(), "work.specdb")
+	stats := ingestCounted(t, path, specs)
+	work := stats.WorkCounts
+	if stats.Keys != uint64(len(specs)) {
+		t.Fatalf("store holds %d keys, want %d", stats.Keys, len(specs))
+	}
+	folds := int64(stats.Seq) - 1 // the genesis commit is seq 1
+	written := work.PageBytesWritten / specdb.PageSize
+	t.Logf("per 1k specs: %d pages sealed, %d page bytes written (%d pages), %d fsyncs over %d folds",
+		work.PagesSealed, work.PageBytesWritten, written, work.Fsyncs, folds)
+	if work.PageBytesWritten%specdb.PageSize != 0 {
+		t.Errorf("wrote %d page bytes, not a whole number of pages", work.PageBytesWritten)
+	}
+	if work.PagesSealed != written {
+		t.Errorf("sealed %d pages but wrote %d: a page was sealed more than once or written unsealed", work.PagesSealed, written)
+	}
+	if want := 1 + 3*folds; work.Fsyncs != want {
+		t.Errorf("%d fsyncs, want %d (1 at create + 3 per fold over %d folds)", work.Fsyncs, want, folds)
+	}
+	if work.PagesSealed > ingestPagesSealedPer1k {
+		t.Errorf("sealed %d pages per 1k specs, budget %d", work.PagesSealed, ingestPagesSealedPer1k)
+	}
+	if work.PageBytesWritten > ingestPageBytesPer1k {
+		t.Errorf("wrote %d page bytes per 1k specs, budget %d", work.PageBytesWritten, ingestPageBytesPer1k)
 	}
 }

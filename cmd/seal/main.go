@@ -380,8 +380,8 @@ func cmdSpecs(args []string) error {
 	if err != nil {
 		return err
 	}
-	var db spec.DB
-	if err := json.Unmarshal(data, &db); err != nil {
+	db, err := spec.ParseDB(data)
+	if err != nil {
 		return err
 	}
 	byScope := make(map[string][]*spec.Spec)
@@ -513,11 +513,11 @@ func cmdInfer(args []string) error {
 		if err != nil {
 			return fmt.Errorf("infer: -append: %w", err)
 		}
-		var existing spec.DB
-		if err := json.Unmarshal(prev, &existing); err != nil {
+		existing, err := spec.ParseDB(prev)
+		if err != nil {
 			return fmt.Errorf("infer: -append: %w", err)
 		}
-		merged := seal.MergeSpecDBs(&existing, db)
+		merged := seal.MergeSpecDBs(existing, db)
 		fmt.Printf("merged %d existing + %d new specs -> %d\n",
 			len(existing.Specs), len(db.Specs), len(merged.Specs))
 		db = merged
@@ -610,9 +610,11 @@ func cmdDetect(args []string) error {
 		if err != nil {
 			return err
 		}
-		if err := json.Unmarshal(data, &db); err != nil {
+		flat, err := spec.ParseDB(data)
+		if err != nil {
 			return err
 		}
+		db = *flat
 	}
 	rec := of.recorder("detect")
 	var res *seal.DetectResult

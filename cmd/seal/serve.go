@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net"
@@ -83,8 +82,8 @@ func setupServe(name string, args []string) (*serve.Server, net.Listener, error)
 		if err != nil {
 			return nil, nil, err
 		}
-		var db spec.DB
-		if err := json.Unmarshal(data, &db); err != nil {
+		db, err := spec.ParseDB(data)
+		if err != nil {
 			return nil, nil, err
 		}
 		specs = db.Specs

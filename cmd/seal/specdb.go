@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -66,11 +65,11 @@ func cmdSpecDB(args []string) error {
 		if err != nil {
 			return err
 		}
-		var flat spec.DB
-		if err := json.Unmarshal(data, &flat); err != nil {
+		flat, err := spec.ParseDB(data)
+		if err != nil {
 			return err
 		}
-		added, skipped, err := seal.ImportSpecStoreOptions(*db, &flat, opts)
+		added, skipped, err := seal.ImportSpecStoreOptions(*db, flat, opts)
 		if err != nil {
 			return err
 		}

@@ -294,6 +294,18 @@ func (db *DB) Hash() (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
+// ParseDB decodes a spec database from its JSON form. It is
+// json.Unmarshal into a DB — the same result and the same error text —
+// minus the outer pass, which would validate and scan the whole input
+// once more before handing it to UnmarshalJSON.
+func ParseDB(data []byte) (*DB, error) {
+	db := new(DB)
+	if err := db.UnmarshalJSON(data); err != nil {
+		return nil, err
+	}
+	return db, nil
+}
+
 // UnmarshalJSON restores conditions from tree form.
 func (db *DB) UnmarshalJSON(data []byte) error {
 	type alias DB

@@ -381,12 +381,10 @@ func TestStorePathAccessor(t *testing.T) {
 	}
 }
 
-// TestBranchPageMemoization drives the two checksum-memoization paths
-// added with group commit: the store's lookup cache (batched-import
-// dedup walking the committed tree once per snapshot) and a
-// transaction's verified-branch set (several operations in one Update
-// descending the same committed branch pages). Both only engage on
-// branch pages, so the tree must be deep enough to have them.
+// TestBranchPageMemoization drives the store's lookup cache: batched
+// import dedup walks the committed tree once per spec, and repeat walks
+// are served checksum-verified branch pages from the cache. The test
+// checks branch pages, so the tree must be deep enough to have them.
 func TestBranchPageMemoization(t *testing.T) {
 	st := tmpStore(t)
 	big := strings.Repeat("v", maxInline+50)
@@ -450,24 +448,117 @@ func TestBranchPageMemoization(t *testing.T) {
 		t.Fatal("lookup cache not rebuilt after commit")
 	}
 	st.mu.Unlock()
+	if _, err := st.Verify(); err != nil {
+		t.Fatal(err)
+	}
+}
 
-	// Transaction-level: two operations in one Update descend the same
-	// committed branch pages; the second must reuse the first's
-	// verification.
+// readCountingFile counts reads per file offset.
+type readCountingFile struct {
+	*memFile
+	reads map[int64]int // nil = not counting
+}
+
+func (f *readCountingFile) ReadAt(p []byte, off int64) (int, error) {
+	if f.reads != nil {
+		f.reads[off]++
+	}
+	return f.memFile.ReadAt(p, off)
+}
+
+// TestUpdateReadsCommittedPagesOnce pins the write transaction's
+// single-pass contract: within one Update, a run of Puts reads each
+// committed page from the file at most once, never reads back a page
+// the transaction itself produced, and seals exactly the pages it
+// writes.
+func TestUpdateReadsCommittedPagesOnce(t *testing.T) {
+	mem := &memFile{}
+	if err := initEmpty(mem); err != nil {
+		t.Fatal(err)
+	}
+	rf := &readCountingFile{memFile: mem}
+	st, err := openWith(rf, "reads.mem", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := strings.Repeat("v", maxInline+50)
+	keyAt := func(i int) string { return fmt.Sprintf("once-%05d", i) }
 	err = st.Update(func(tx *Tx) error {
-		if err := tx.Put([]byte(keyAt(40)), []byte("x")); err != nil {
-			return err
+		for i := 0; i < 400; i++ {
+			val := fmt.Sprintf("val%05d", i)
+			if i%37 == 0 {
+				val = big
+			}
+			if err := tx.Put([]byte(keyAt(i)), []byte(val)); err != nil {
+				return err
+			}
 		}
-		if len(tx.verified) == 0 {
-			return fmt.Errorf("transaction verified no committed branch pages")
-		}
-		if _, ok := tx.trustedPage(snap.meta.root); !ok {
-			return fmt.Errorf("root branch not trusted after first descent")
-		}
-		return tx.Put([]byte(keyAt(360)), []byte("y"))
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	base := st.Current().meta
+	if root, err := readPage(st.Current(), base.root); err != nil || root.Type != pageBranch {
+		t.Fatalf("root page = %v, %v; want a branch so Puts share committed pages", root, err)
+	}
+
+	rf.reads = make(map[int64]int)
+	work := *st.work
+	err = st.Update(func(tx *Tx) error {
+		// Every key twice over, large values replaced twice: each Put
+		// descends the root and branch pages the previous Puts touched.
+		for pass := 0; pass < 2; pass++ {
+			for i := 0; i < 400; i += 3 {
+				val := fmt.Sprintf("pass%d-%05d", pass, i)
+				if i%37 == 0 {
+					val = big + val
+				}
+				if err := tx.Put([]byte(keyAt(i)), []byte(val)); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rf.reads) == 0 {
+		t.Fatal("Update read no committed pages — the check is vacuous")
+	}
+	for off, n := range rf.reads {
+		id := uint64(off / PageSize)
+		if id >= base.npages {
+			t.Errorf("page %d was produced by the transaction and read back", id)
+		}
+		if n > 1 {
+			t.Errorf("committed page %d read %d times in one Update", id, n)
+		}
+	}
+	sealed := st.work.PagesSealed - work.PagesSealed
+	written := (st.work.PageBytesWritten - work.PageBytesWritten) / PageSize
+	if sealed != written {
+		t.Errorf("Update sealed %d pages but wrote %d", sealed, written)
+	}
+	if want := st.Current().meta.npages - base.npages + 1; uint64(written) != want {
+		t.Errorf("Update wrote %d pages, want %d new pages plus the meta page", written, want)
+	}
+	rf.reads = nil
+	for i := 0; i < 400; i++ {
+		want := fmt.Sprintf("val%05d", i)
+		switch {
+		case i%3 == 0 && i%37 == 0:
+			want = big + fmt.Sprintf("pass1-%05d", i)
+		case i%3 == 0:
+			want = fmt.Sprintf("pass1-%05d", i)
+		case i%37 == 0:
+			want = big
+		}
+		got, ok, err := st.Current().Get([]byte(keyAt(i)))
+		if err != nil || !ok || string(got) != want {
+			t.Fatalf("key %d = %q, %v, %v; want %q", i, got, ok, err, want)
+		}
 	}
 	if _, err := st.Verify(); err != nil {
 		t.Fatal(err)

@@ -21,23 +21,19 @@ func buildSeedPages(tb testing.TB) [][]byte {
 
 	seeds = append(seeds, encodeMeta(meta{seq: 7, root: 3, npages: 9, nextOrd: 4, count: 2}))
 
-	tx := &Tx{pages: make(map[uint64][]byte), baseN: 2, npages: 2}
-	if _, err := tx.writeNode(&node{leaf: true,
+	tx := newTx(&Snapshot{meta: meta{npages: 2}})
+	tx.writeNode(&node{leaf: true,
 		keys:  [][]byte{[]byte("api:kfree | k1"), []byte("iface:ops | k2")},
 		vals:  [][]byte{[]byte("small"), []byte(strings.Repeat("v", maxInline+9))},
 		ovfs:  []uint64{0, 0},
 		vlens: []uint32{5, uint32(maxInline + 9)},
-	}, 0); err != nil {
-		tb.Fatal(err)
-	}
-	if _, err := tx.writeNode(&node{
+	})
+	tx.writeNode(&node{
 		keys: [][]byte{[]byte("m")},
-		kids: []uint64{2, 3},
-	}, 0); err != nil {
-		tb.Fatal(err)
-	}
-	for id := uint64(2); id < tx.npages; id++ {
-		seeds = append(seeds, tx.pages[id])
+		kids: []ref{{id: 2}, {id: 3}},
+	})
+	for off := 0; off < len(tx.out); off += PageSize {
+		seeds = append(seeds, tx.out[off:off+PageSize])
 	}
 
 	// Corrupt variants: flipped payload byte, flipped checksum, wrong

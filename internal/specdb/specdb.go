@@ -183,7 +183,7 @@ type Page struct {
 
 	// Node fields (Type == 2 or 3).
 	Keys [][]byte
-	Vals [][]byte // leaf inline values ("" for overflow values)
+	Vals [][]byte // leaf inline values (nil for overflow values)
 	Ovf  []uint64 // leaf per-key overflow head, 0 = inline
 	VLen []uint32 // leaf full value lengths
 	Kids []uint64 // branch children, len(Keys)+1
@@ -207,8 +207,8 @@ func DecodePage(buf []byte) (*Page, error) {
 }
 
 // decodePageTrusted parses a page image whose checksum is known good:
-// either DecodePage verified it, or the image is a transaction-local
-// page this process sealed itself and never wrote to disk.
+// DecodePage just verified it, or a lookup cache holds it from an
+// earlier verified read.
 func decodePageTrusted(buf []byte) (*Page, error) {
 	p := &Page{Type: buf[0]}
 	switch p.Type {
@@ -227,6 +227,10 @@ func decodePageTrusted(buf []byte) (*Page, error) {
 		return p, nil
 	case pageLeaf:
 		n := int(binary.LittleEndian.Uint16(buf[1:3]))
+		// Size the cell slices once, capped by how many cells fit.
+		c := min(n, (checksumOff-leafHdr)/leafCell)
+		p.Keys, p.Vals = make([][]byte, 0, c), make([][]byte, 0, c)
+		p.Ovf, p.VLen = make([]uint64, 0, c), make([]uint32, 0, c)
 		off := leafHdr
 		for i := 0; i < n; i++ {
 			if off+leafCell > checksumOff {
@@ -245,7 +249,11 @@ func decodePageTrusted(buf []byte) (*Page, error) {
 			}
 			p.Keys = append(p.Keys, buf[off:off+klen])
 			off += klen
-			p.Vals = append(p.Vals, buf[off:off+inline])
+			var val []byte
+			if ovf == 0 {
+				val = buf[off : off+inline]
+			}
+			p.Vals = append(p.Vals, val)
 			off += inline
 			p.Ovf = append(p.Ovf, ovf)
 			p.VLen = append(p.VLen, vlen)
@@ -259,6 +267,8 @@ func decodePageTrusted(buf []byte) (*Page, error) {
 		if n == 0 {
 			return nil, fmt.Errorf("%w: branch page with no keys", ErrCorrupt)
 		}
+		c := min(n, (checksumOff-branchHdr)/branchCell)
+		p.Keys, p.Kids = make([][]byte, 0, c), make([]uint64, 0, c+1)
 		off := branchHdr
 		p.Kids = append(p.Kids, binary.LittleEndian.Uint64(buf[3:11]))
 		for i := 0; i < n; i++ {

@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"seal/internal/spec"
@@ -25,8 +26,17 @@ type specRecord struct {
 	DB  *spec.DB `json:"db"`
 }
 
+// encodeSpec builds the JSON of specRecord{ord, {sp}} directly: the DB
+// codec's output is already compact and escaped, so json.Marshal would
+// only scan and copy it again. The bytes are identical.
 func encodeSpec(ord uint64, sp *spec.Spec) ([]byte, error) {
-	return json.Marshal(specRecord{Ord: ord, DB: &spec.DB{Specs: []*spec.Spec{sp}}})
+	db, err := (&spec.DB{Specs: []*spec.Spec{sp}}).MarshalJSON()
+	if err != nil {
+		return nil, err
+	}
+	out := append(make([]byte, 0, len(db)+40), `{"ord":`...)
+	out = append(strconv.AppendUint(out, ord, 10), `,"db":`...)
+	return append(append(out, db...), '}'), nil
 }
 
 func decodeSpec(val []byte) (uint64, *spec.Spec, error) {
@@ -55,12 +65,12 @@ func (s *Store) lookupLocked(key []byte) ([]byte, bool, error) {
 		return val, present, nil
 	}
 	src, sn := s.lookupSourceLocked()
-	return treeGet(src, sn.meta.root, key)
+	return treeGet(src, ref{id: sn.meta.root}, key)
 }
 
-// checkSpecKey validates a spec key before any ordinal is allocated or
-// record appended.
-func checkSpecKey(key []byte) error {
+// checkKey validates a key before any ordinal is allocated, record
+// appended or node touched.
+func checkKey(key []byte) error {
 	if len(key) == 0 {
 		return fmt.Errorf("specdb: empty key")
 	}
@@ -79,7 +89,7 @@ func (b *Batch) ImportSpecs(specs []*spec.Spec) (added, skipped int, err error) 
 	defer b.s.mu.Unlock()
 	for _, sp := range specs {
 		key := []byte(sp.Key())
-		if err := checkSpecKey(key); err != nil {
+		if err := checkKey(key); err != nil {
 			return added, skipped, err
 		}
 		if _, ok, err := b.s.lookupLocked(key); err != nil {
@@ -108,7 +118,7 @@ func (b *Batch) UpsertSpec(sp *spec.Spec) (created bool, err error) {
 	b.s.mu.Lock()
 	defer b.s.mu.Unlock()
 	key := []byte(sp.Key())
-	if err := checkSpecKey(key); err != nil {
+	if err := checkKey(key); err != nil {
 		return false, err
 	}
 	old, ok, err := b.s.lookupLocked(key)
@@ -214,19 +224,7 @@ func sortByOrd(out []ordSpec) []*spec.Spec {
 // Specs returns every spec in import-ordinal order — the exact order a
 // flat-file load of the same corpus would produce.
 func (sn *Snapshot) Specs() ([]*spec.Spec, error) {
-	out := make([]ordSpec, 0, sn.Len())
-	err := sn.Iterate(func(_, val []byte) (bool, error) {
-		ord, sp, err := decodeSpec(val)
-		if err != nil {
-			return false, err
-		}
-		out = append(out, ordSpec{ord, sp})
-		return true, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return sortByOrd(out), nil
+	return sn.Query(Query{})
 }
 
 // SpecByKey returns the spec stored under a spec.Key() string.
@@ -247,9 +245,9 @@ func scopePrefix(scope string) []byte {
 	return []byte(scope + " | ")
 }
 
-// scopeScan visits each spec in one scope in key order.
-func (sn *Snapshot) scopeScan(scope string, fn func(ord uint64, sp *spec.Spec) error) error {
-	prefix := scopePrefix(scope)
+// scan visits, in key order, each spec whose key starts with prefix
+// (nil = every spec).
+func (sn *Snapshot) scan(prefix []byte, fn func(ord uint64, sp *spec.Spec) error) error {
 	return sn.IterateFrom(prefix, func(key, val []byte) (bool, error) {
 		if !bytes.HasPrefix(key, prefix) {
 			return false, nil
@@ -264,15 +262,7 @@ func (sn *Snapshot) scopeScan(scope string, fn func(ord uint64, sp *spec.Spec) e
 
 // ScopeSpecs returns one scope's specs in ordinal order.
 func (sn *Snapshot) ScopeSpecs(scope string) ([]*spec.Spec, error) {
-	var out []ordSpec
-	err := sn.scopeScan(scope, func(ord uint64, sp *spec.Spec) error {
-		out = append(out, ordSpec{ord, sp})
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return sortByOrd(out), nil
+	return sn.ScopesSpecs([]string{scope})
 }
 
 // ScopesSpecs gathers the specs of several scopes and sorts them
@@ -281,7 +271,7 @@ func (sn *Snapshot) ScopeSpecs(scope string) ([]*spec.Spec, error) {
 func (sn *Snapshot) ScopesSpecs(scopes []string) ([]*spec.Spec, error) {
 	var out []ordSpec
 	for _, scope := range scopes {
-		err := sn.scopeScan(scope, func(ord uint64, sp *spec.Spec) error {
+		err := sn.scan(scopePrefix(scope), func(ord uint64, sp *spec.Spec) error {
 			out = append(out, ordSpec{ord, sp})
 			return nil
 		})
@@ -383,28 +373,19 @@ func (sn *Snapshot) Query(q Query) ([]*spec.Spec, error) {
 	if scope == "" && q.API != "" {
 		scope = "api:" + q.API
 	}
+	var prefix []byte
+	if scope != "" {
+		prefix = scopePrefix(scope)
+	}
 	var out []ordSpec
-	collect := func(ord uint64, sp *spec.Spec) error {
+	err := sn.scan(prefix, func(ord uint64, sp *spec.Spec) error {
 		if q.Match(sp) {
 			out = append(out, ordSpec{ord, sp})
 		}
 		return nil
-	}
-	if scope != "" {
-		if err := sn.scopeScan(scope, collect); err != nil {
-			return nil, err
-		}
-	} else {
-		err := sn.Iterate(func(_, val []byte) (bool, error) {
-			ord, sp, err := decodeSpec(val)
-			if err != nil {
-				return false, err
-			}
-			return true, collect(ord, sp)
-		})
-		if err != nil {
-			return nil, err
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return sortByOrd(out), nil
 }

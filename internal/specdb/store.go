@@ -4,9 +4,9 @@
 package specdb
 
 import (
+	"cmp"
 	"fmt"
 	"os"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,7 +38,8 @@ type Store struct {
 	pol        CommitPolicy
 	flushTimer *time.Timer
 	roPending  int        // read-only opens: overlaid WAL tail records
-	look       *snapCache // branch-page cache for batch dedup lookups
+	look       *snapCache // page cache for batch dedup lookups
+	work       *WorkCounts
 
 	// Background compaction (opened with Options.CompactThreshold).
 	threshold   float64
@@ -98,7 +99,7 @@ func (sn *Snapshot) Get(key []byte) ([]byte, bool, error) {
 			return rec.Val, true, nil
 		}
 	}
-	return treeGet(sn, sn.meta.root, key)
+	return treeGet(sn, ref{id: sn.meta.root}, key)
 }
 
 // Iterate walks all keys in order. fn returns false to stop early.
@@ -111,7 +112,7 @@ func (sn *Snapshot) IterateFrom(lo []byte, fn func(key, val []byte) (bool, error
 	if sn.ov != nil {
 		return sn.ov.iterMerged(sn, lo, fn)
 	}
-	return treeIterFrom(sn, sn.meta.root, lo, fn)
+	return treeIterFrom(sn, ref{id: sn.meta.root}, lo, fn)
 }
 
 // Create makes a new empty store at path, failing if the file exists.
@@ -125,24 +126,14 @@ func CreateOptions(path string, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := osFile{f: osf}
-	if err := initEmpty(f); err != nil {
-		f.Close()
-		os.Remove(path)
-		return nil, err
+	opts.work = new(WorkCounts)
+	err = initEmpty(metered(osFile{f: osf}, opts.work, true))
+	osf.Close()
+	var st *Store
+	if err == nil {
+		st, err = openPath(path, false, opts)
 	}
-	wal, err := openWAL(path, false)
 	if err != nil {
-		f.Close()
-		os.Remove(path)
-		return nil, err
-	}
-	st, err := openStore(f, wal, path, false, opts)
-	if err != nil {
-		f.Close()
-		if wal != nil {
-			wal.Close()
-		}
 		os.Remove(path)
 		return nil, err
 	}
@@ -172,18 +163,22 @@ func openWAL(path string, readOnly bool) (file, error) {
 	return osFile{f: osf}, nil
 }
 
-// initEmpty writes the genesis state: an invalid slot 0 and a committed
-// empty meta at slot 1 (seq 1, so the first Update commits seq 2 into
-// slot 0).
+// initEmpty writes the genesis state: a committed empty meta at slot 1
+// (seq 1, so the first Update commits seq 2 into slot 0). The file is
+// new, so slot 0 reads back as zeros — an invalid meta — without a
+// write of its own.
 func initEmpty(f file) error {
-	if _, err := f.WriteAt(make([]byte, PageSize), 0); err != nil {
-		return err
-	}
-	m := meta{seq: 1, root: 0, npages: 2, nextOrd: 1, count: 0}
-	if _, err := f.WriteAt(encodeMeta(m), PageSize); err != nil {
+	if err := writeMeta(f, meta{seq: 1, root: 0, npages: 2, nextOrd: 1, count: 0}); err != nil {
 		return err
 	}
 	return f.Sync()
+}
+
+// writeMeta seals m into its alternating slot (seq mod 2) of f.
+func writeMeta(f file, m meta) error {
+	countSeals(f, 1)
+	_, err := f.WriteAt(encodeMeta(m), int64(m.seq%2)*PageSize)
+	return err
 }
 
 // Open opens an existing store read-write, recovering to the newest
@@ -252,11 +247,14 @@ func openStore(f file, wal file, path string, readOnly bool, opts Options) (*Sto
 		}
 		return nil, fmt.Errorf("%w: %s has no valid meta page", ErrNotStore, path)
 	}
+	w := cmp.Or(opts.work, new(WorkCounts))
+	f = metered(f, w, true)
 	st := &Store{
 		path:      path,
 		readOnly:  readOnly,
 		f:         f,
-		wal:       wal,
+		wal:       metered(wal, w, false),
+		work:      w,
 		walSeq:    best.walSeq,
 		nextOrd:   best.nextOrd,
 		pol:       opts.Commit.withDefaults(),
@@ -266,7 +264,7 @@ func openStore(f file, wal file, path string, readOnly bool, opts Options) (*Sto
 	if wal == nil {
 		return st, nil
 	}
-	recs, validLen, err := scanWAL(wal)
+	recs, validLen, err := scanWAL(st.wal)
 	if err != nil {
 		return nil, err
 	}
@@ -309,32 +307,9 @@ func openStore(f file, wal file, path string, readOnly bool, opts Options) (*Sto
 // replayTail folds an unfolded WAL tail into one recovery commit,
 // restoring ordinal allocation from the last record's NextOrd.
 func (s *Store) replayTail(tail []*WALRecord) error {
-	snap := s.cur.Load()
-	tx := &Tx{
-		base:    snap,
-		root:    snap.meta.root,
-		baseN:   snap.meta.npages,
-		npages:  snap.meta.npages,
-		pages:   make(map[uint64][]byte),
-		nextOrd: snap.meta.nextOrd,
-		count:   snap.meta.count,
-	}
-	for _, rec := range tail {
-		switch rec.Op {
-		case WALOpPut:
-			if err := tx.Put(rec.Key, rec.Val); err != nil {
-				return err
-			}
-		case WALOpDelete:
-			if _, err := tx.Delete(rec.Key); err != nil {
-				return err
-			}
-		}
-	}
 	last := tail[len(tail)-1]
 	s.walSeq, s.nextOrd = last.Seq, last.NextOrd
-	tx.nextOrd = last.NextOrd
-	return s.commit(snap, tx)
+	return s.commitRecords(tail)
 }
 
 // recoverMeta picks the valid meta slot with the highest sequence
@@ -373,7 +348,7 @@ func OpenAt(path string, seq uint64) (*Store, error) {
 	for slot := uint64(0); slot < 2; slot++ {
 		m, _, valid := decodeMetaSlot(f, slot)
 		if valid && m.seq == seq {
-			st := &Store{path: path, readOnly: true, f: f}
+			st := &Store{path: path, readOnly: true, f: f, work: new(WorkCounts)}
 			st.cur.Store(&Snapshot{f: f, meta: m})
 			return st, nil
 		}
@@ -432,68 +407,64 @@ func (s *Store) Close() error {
 	return err
 }
 
-// Tx is a copy-on-write write transaction. Mutations build new pages in
-// memory; nothing touches the file until the enclosing Update commits.
-// Pages at or above baseN were allocated by this transaction and may be
-// rewritten in place — copy-on-write only protects pages the base
-// snapshot can reach.
+// writableLocked reports why the store cannot take a write, if it
+// cannot. Caller holds s.mu.
+func (s *Store) writableLocked() error {
+	if s.readOnly {
+		return ErrReadOnly
+	}
+	if s.closed {
+		return fmt.Errorf("specdb: store is closed")
+	}
+	return nil
+}
+
+// Tx is a copy-on-write write transaction. The first mutation to reach
+// a committed node decodes it into a dirty in-memory node; every later
+// operation in the transaction works on that node directly, so no page
+// is read twice and none is built before the commit. Committed pages
+// are never modified: the commit writes each reachable dirty node once,
+// to a fresh page after the base snapshot's last one.
 type Tx struct {
-	base     *Snapshot
-	root     uint64
-	baseN    uint64
-	npages   uint64
-	pages    map[uint64][]byte
-	verified map[uint64][]byte // base branch pages already checksum-verified
+	base   *Snapshot
+	root   ref
+	npages uint64 // next free page id once the output run is laid out
+	out    []byte // sealed page images not yet written: the ids just below npages
+	sealed int64  // pages sealed into out
 
 	nextOrd uint64
 	count   uint64
-	dirty   bool
+	changed bool
 }
 
-func (tx *Tx) page(id uint64) ([]byte, error) {
-	if buf, ok := tx.pages[id]; ok {
-		return buf, nil
+// newTx starts a write transaction on top of snap.
+func newTx(snap *Snapshot) *Tx {
+	return &Tx{
+		base:    snap,
+		root:    ref{id: snap.meta.root},
+		npages:  snap.meta.npages,
+		nextOrd: snap.meta.nextOrd,
+		count:   snap.meta.count,
 	}
-	return tx.base.page(id)
-}
-
-// trustedPage serves the transaction's own dirty pages without checksum
-// verification — they were sealed by writeNode in this process and have
-// never round-tripped through the file — plus base-snapshot branch
-// pages this transaction already verified once.
-func (tx *Tx) trustedPage(id uint64) ([]byte, bool) {
-	if buf, ok := tx.pages[id]; ok {
-		return buf, true
-	}
-	buf, ok := tx.verified[id]
-	return buf, ok
-}
-
-func (tx *Tx) noteVerified(id uint64, buf []byte) {
-	if tx.verified == nil {
-		tx.verified = make(map[uint64][]byte)
-	}
-	tx.verified[id] = buf
 }
 
 // snapCache wraps a snapshot for a read path that walks the same tree
-// repeatedly (batched import dedup lookups), memoizing checksum-verified
-// branch pages. Not safe for concurrent use; callers hold the store
-// lock. The cache dies with the snapshot it wraps — a fold publishes a
-// new snapshot and the store builds a fresh cache for it.
+// repeatedly (batched import dedup lookups walk the same committed pages
+// once per spec), memoizing checksum-verified branch and leaf pages so
+// the read and hash happen once. Verify reads through the bare Snapshot,
+// so a structural walk always re-checks every checksum. Not safe for
+// concurrent use; callers hold the store lock. The cache dies with the
+// snapshot it wraps — a fold publishes a new snapshot and the store
+// builds a fresh cache for it — so it holds at most the pages one fold
+// window's lookups touched.
 type snapCache struct {
 	sn       *Snapshot
 	verified map[uint64][]byte
 }
 
 func (c *snapCache) page(id uint64) ([]byte, error) { return c.sn.page(id) }
-func (c *snapCache) trustedPage(id uint64) ([]byte, bool) {
-	buf, ok := c.verified[id]
-	return buf, ok
-}
-func (c *snapCache) noteVerified(id uint64, buf []byte) { c.verified[id] = buf }
 
-// lookupSourceLocked returns a branch-page-caching view of the current
+// lookupSourceLocked returns a page-caching view of the current
 // snapshot, rebuilt whenever a fold publishes a new one. Caller holds
 // s.mu.
 func (s *Store) lookupSourceLocked() (pageSource, *Snapshot) {
@@ -504,26 +475,19 @@ func (s *Store) lookupSourceLocked() (pageSource, *Snapshot) {
 	return s.look, snap
 }
 
-func (tx *Tx) alloc(buf []byte) uint64 {
-	id := tx.npages
-	tx.npages++
-	tx.pages[id] = buf
-	return id
-}
-
 // Get reads through the transaction's uncommitted state.
 func (tx *Tx) Get(key []byte) ([]byte, bool, error) {
-	return treeGet(tx, tx.root, key)
+	return treeGet(tx.base, tx.root, key)
 }
 
 // Iterate walks the transaction's uncommitted state in key order.
 func (tx *Tx) Iterate(fn func(key, val []byte) (bool, error)) error {
-	return treeIterFrom(tx, tx.root, nil, fn)
+	return treeIterFrom(tx.base, tx.root, nil, fn)
 }
 
 // IterateFrom walks uncommitted keys >= lo in order.
 func (tx *Tx) IterateFrom(lo []byte, fn func(key, val []byte) (bool, error)) error {
-	return treeIterFrom(tx, tx.root, lo, fn)
+	return treeIterFrom(tx.base, tx.root, lo, fn)
 }
 
 // Len is the number of keys, including uncommitted changes.
@@ -533,43 +497,35 @@ func (tx *Tx) Len() int { return int(tx.count) }
 func (tx *Tx) TakeOrd() uint64 {
 	ord := tx.nextOrd
 	tx.nextOrd++
-	tx.dirty = true
+	tx.changed = true
 	return ord
 }
 
-// Put inserts or replaces key.
+// Put inserts or replaces key. It copies key and val, so the caller may
+// reuse its buffers.
 func (tx *Tx) Put(key, val []byte) error {
-	if len(key) == 0 {
-		return fmt.Errorf("specdb: empty key")
+	kv := append(append(make([]byte, 0, len(key)+len(val)), key...), val...)
+	return tx.put(kv[:len(key):len(key)], kv[len(key):])
+}
+
+// put is Put without the copy: the transaction keeps key and val until
+// it commits. The fold and Compact pass slices that nothing rewrites.
+func (tx *Tx) put(key, val []byte) error {
+	if err := checkKey(key); err != nil {
+		return err
 	}
-	if len(key) > MaxKeyLen {
-		return fmt.Errorf("%w: %d bytes (max %d)", ErrKeyTooLong, len(key), MaxKeyLen)
+	tx.changed = true
+	if tx.root.empty() {
+		tx.root.n = &node{leaf: true}
 	}
-	tx.dirty = true
-	if tx.root == 0 {
-		id, err := tx.writeNode(&node{leaf: true, keys: [][]byte{key}, vals: [][]byte{val},
-			ovfs: []uint64{0}, vlens: []uint32{uint32(len(val))}}, 0)
-		if err != nil {
-			return err
-		}
-		tx.root = id
-		tx.count++
-		return nil
-	}
-	sr, err := tx.insertRec(tx.root, key, val)
+	right, sep, replaced, err := tx.insertRec(&tx.root, key, val)
 	if err != nil {
 		return err
 	}
-	if sr.split {
-		rid, err := tx.writeNode(&node{keys: [][]byte{sr.sep}, kids: []uint64{sr.left, sr.right}}, 0)
-		if err != nil {
-			return err
-		}
-		tx.root = rid
-	} else {
-		tx.root = sr.left
+	if right != nil {
+		tx.root = ref{n: &node{keys: [][]byte{sep}, kids: []ref{tx.root, {n: right}}}}
 	}
-	if !sr.replaced {
+	if !replaced {
 		tx.count++
 	}
 	return nil
@@ -577,21 +533,16 @@ func (tx *Tx) Put(key, val []byte) error {
 
 // Delete removes key, reporting whether it was present.
 func (tx *Tx) Delete(key []byte) (bool, error) {
-	if tx.root == 0 {
+	if tx.root.empty() {
 		return false, nil
 	}
-	dr, err := tx.deleteRec(tx.root, key)
-	if err != nil {
+	found, empty, err := tx.deleteRec(&tx.root, key)
+	if err != nil || !found {
 		return false, err
 	}
-	if !dr.found {
-		return false, nil
-	}
-	tx.dirty = true
-	if dr.empty {
-		tx.root = 0
-	} else {
-		tx.root = dr.id
+	tx.changed = true
+	if empty {
+		tx.root = ref{}
 	}
 	tx.count--
 	return true, nil
@@ -605,56 +556,57 @@ func (tx *Tx) Delete(key []byte) (bool, error) {
 func (s *Store) Update(fn func(tx *Tx) error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.readOnly {
-		return ErrReadOnly
-	}
-	if s.closed {
-		return fmt.Errorf("specdb: store is closed")
+	if err := s.writableLocked(); err != nil {
+		return err
 	}
 	// Fold any pending WAL batch first so the transaction builds on
 	// every operation that already went through the log.
 	if err := s.foldLocked(); err != nil {
 		return err
 	}
-	snap := s.cur.Load()
-	tx := &Tx{
-		base:    snap,
-		root:    snap.meta.root,
-		baseN:   snap.meta.npages,
-		npages:  snap.meta.npages,
-		pages:   make(map[uint64][]byte),
-		nextOrd: snap.meta.nextOrd,
-		count:   snap.meta.count,
-	}
+	tx := newTx(s.cur.Load())
 	if err := fn(tx); err != nil {
 		return err
 	}
-	if !tx.dirty {
+	if !tx.changed {
 		return nil
 	}
-	if err := s.commit(snap, tx); err != nil {
+	if err := s.commit(tx); err != nil {
 		return err
 	}
 	s.nextOrd = tx.nextOrd
 	return nil
 }
 
-func (s *Store) commit(snap *Snapshot, tx *Tx) error {
-	ids := make([]uint64, 0, len(tx.pages))
-	for id := range tx.pages {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		if _, err := s.f.WriteAt(tx.pages[id], int64(id)*PageSize); err != nil {
-			return fmt.Errorf("specdb: write page %d: %w", id, err)
+// commitRecords folds WAL records into one commit on top of the current
+// snapshot, stamping the store's ordinal counter and WAL sequence.
+func (s *Store) commitRecords(recs []*WALRecord) error {
+	tx := newTx(s.cur.Load())
+	for _, rec := range recs {
+		var err error
+		if rec.Op == WALOpDelete {
+			_, err = tx.Delete(rec.Key)
+		} else {
+			err = tx.put(rec.Key, rec.Val)
 		}
+		if err != nil {
+			return err
+		}
+	}
+	tx.nextOrd = s.nextOrd
+	return s.commit(tx)
+}
+
+func (s *Store) commit(tx *Tx) error {
+	root, err := tx.writePages(s.f)
+	if err != nil {
+		return err
 	}
 	if err := s.f.Sync(); err != nil {
 		return fmt.Errorf("specdb: sync pages: %w", err)
 	}
-	m := meta{seq: snap.meta.seq + 1, root: tx.root, npages: tx.npages, nextOrd: tx.nextOrd, count: tx.count, walSeq: s.walSeq}
-	if _, err := s.f.WriteAt(encodeMeta(m), int64(m.seq%2)*PageSize); err != nil {
+	m := meta{seq: tx.base.meta.seq + 1, root: root, npages: tx.npages, nextOrd: tx.nextOrd, count: tx.count, walSeq: s.walSeq}
+	if err := writeMeta(s.f, m); err != nil {
 		return fmt.Errorf("specdb: write meta: %w", err)
 	}
 	if err := s.f.Sync(); err != nil {
@@ -672,6 +624,9 @@ type CompactStats struct {
 	PagesAfter  uint64
 }
 
+// compactFlushKeys is how many keys Compact puts between flushSettled calls.
+const compactFlushKeys = 1024
+
 // Compact rewrites the store into a fresh file in key order, dropping
 // every unreachable (superseded copy-on-write) page, and atomically
 // renames it over the store path. The sequence number advances by one.
@@ -680,11 +635,8 @@ type CompactStats struct {
 func (s *Store) Compact() (CompactStats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.readOnly {
-		return CompactStats{}, ErrReadOnly
-	}
-	if s.closed {
-		return CompactStats{}, fmt.Errorf("specdb: store is closed")
+	if err := s.writableLocked(); err != nil {
+		return CompactStats{}, err
 	}
 	// Fold any pending WAL batch so the rewrite captures it and the log
 	// is empty when the new file (stamped with the folded walSeq) lands.
@@ -698,21 +650,23 @@ func (s *Store) Compact() (CompactStats, error) {
 	if err != nil {
 		return CompactStats{}, err
 	}
-	nf := osFile{f: osf}
+	nf := metered(osFile{f: osf}, s.work, true)
 	fail := func(err error) (CompactStats, error) {
 		nf.Close()
 		os.Remove(tmp)
 		return CompactStats{}, err
 	}
-	tx := &Tx{
-		base:    &Snapshot{f: nf, meta: meta{npages: 2}},
-		baseN:   2,
-		npages:  2,
-		pages:   make(map[uint64][]byte),
-		nextOrd: snap.meta.nextOrd,
-	}
+	// The rewrite is one transaction over an empty base in the new file
+	// that seals every page once, like any commit, and writes settled
+	// subtrees as it goes. It may keep the key and value slices: Iterate
+	// hands out slices of page images it read fresh.
+	tx := newTx(&Snapshot{f: nf, meta: meta{npages: 2, nextOrd: snap.meta.nextOrd}})
 	err = snap.Iterate(func(key, val []byte) (bool, error) {
-		return true, tx.Put(append([]byte(nil), key...), append([]byte(nil), val...))
+		err := tx.put(key, val)
+		if err == nil && tx.count%compactFlushKeys == 0 {
+			err = tx.flushSettled(nf)
+		}
+		return err == nil, err
 	})
 	if err != nil {
 		return fail(err)
@@ -720,21 +674,13 @@ func (s *Store) Compact() (CompactStats, error) {
 	if tx.count != snap.meta.count {
 		return fail(fmt.Errorf("%w: compaction saw %d keys, meta declares %d", ErrCorrupt, tx.count, snap.meta.count))
 	}
-	if _, err := nf.WriteAt(make([]byte, 2*PageSize), 0); err != nil {
+	root, err := tx.writePages(nf)
+	if err != nil {
 		return fail(err)
 	}
-	ids := make([]uint64, 0, len(tx.pages))
-	for id := range tx.pages {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		if _, err := nf.WriteAt(tx.pages[id], int64(id)*PageSize); err != nil {
-			return fail(err)
-		}
-	}
-	m := meta{seq: snap.meta.seq + 1, root: tx.root, npages: tx.npages, nextOrd: tx.nextOrd, count: tx.count, walSeq: s.walSeq}
-	if _, err := nf.WriteAt(encodeMeta(m), int64(m.seq%2)*PageSize); err != nil {
+	// The other meta slot stays a never-written (zero, invalid) page.
+	m := meta{seq: snap.meta.seq + 1, root: root, npages: tx.npages, nextOrd: tx.nextOrd, count: tx.count, walSeq: s.walSeq}
+	if err := writeMeta(nf, m); err != nil {
 		return fail(err)
 	}
 	if err := nf.Sync(); err != nil {
@@ -840,6 +786,61 @@ type StoreStats struct {
 	// compactions this handle has completed.
 	DeadPageRatio float64 `json:"dead_page_ratio"`
 	Compactions   int64   `json:"compactions"`
+
+	// WorkCounts is the write work this handle has done since it was
+	// created or opened.
+	WorkCounts
+}
+
+// WorkCounts tallies the write work of one store handle. The counts are
+// deterministic for a given sequence of operations, so they gate write
+// amplification where wall-clock ratios would depend on the disk. They
+// are updated under the store's writer lock; read them through Stats.
+type WorkCounts struct {
+	// PagesSealed counts page images checksummed for writing: tree,
+	// overflow and meta pages.
+	PagesSealed int64 `json:"pages_sealed"`
+	// PageBytesWritten counts page bytes handed to WriteAt on the store
+	// file (the WAL is not a page file and is not counted).
+	PageBytesWritten int64 `json:"page_bytes_written"`
+	// Fsyncs counts Sync calls on the store file and the WAL.
+	Fsyncs int64 `json:"fsyncs"`
+}
+
+// countSeals adds k sealed pages to f's counts when f is a metered
+// store file.
+func countSeals(f file, k int64) {
+	if m, ok := f.(meteredFile); ok {
+		m.w.PagesSealed += k
+	}
+}
+
+// meteredFile counts the work done through a store file or its WAL:
+// every Sync, and the bytes written when it is the page file.
+type meteredFile struct {
+	file
+	w     *WorkCounts
+	pages bool
+}
+
+// metered wraps f (nil stays nil) so its writes and syncs land in w.
+func metered(f file, w *WorkCounts, pages bool) file {
+	if f == nil {
+		return nil
+	}
+	return meteredFile{file: f, w: w, pages: pages}
+}
+
+func (m meteredFile) WriteAt(p []byte, off int64) (int, error) {
+	if m.pages {
+		m.w.PageBytesWritten += int64(len(p))
+	}
+	return m.file.WriteAt(p, off)
+}
+
+func (m meteredFile) Sync() error {
+	m.w.Fsyncs++
+	return m.file.Sync()
 }
 
 // Stats reports the current snapshot's header fields, the file size,
@@ -852,7 +853,7 @@ func (s *Store) Stats() StoreStats {
 	if s.readOnly {
 		pending = s.roPending
 	}
-	walSeq, walBytes := s.walSeq, s.walLen
+	walSeq, walBytes, work := s.walSeq, s.walLen, *s.work
 	s.mu.Unlock()
 	// A structurally broken snapshot surfaces through Verify; here the
 	// ratio simply reads 0.
@@ -869,5 +870,6 @@ func (s *Store) Stats() StoreStats {
 		WALBytes:          walBytes,
 		DeadPageRatio:     ratio,
 		Compactions:       s.compactions.Load(),
+		WorkCounts:        work,
 	}
 }

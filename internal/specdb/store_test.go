@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -266,6 +267,48 @@ func TestPutKeyValidation(t *testing.T) {
 	}
 }
 
+// TestPutCopiesCallerBuffers pins Put's contract: a caller may reuse one
+// key buffer and one value buffer across the Puts of a transaction, and
+// the commit holds what each Put was handed — inline and overflow
+// values alike, through leaf and branch splits.
+func TestPutCopiesCallerBuffers(t *testing.T) {
+	st := tmpStore(t)
+	const n = 300
+	want := func(i int) string {
+		return strings.Repeat(string(rune('a'+i%26)), 1+i*53%(2*ovfChunk))
+	}
+	key := make([]byte, 0, 16)
+	val := make([]byte, 0, 2*ovfChunk)
+	err := st.Update(func(tx *Tx) error {
+		for i := 0; i < n; i++ {
+			key = fmt.Appendf(key[:0], "k%05d", i)
+			val = append(val[:0], want(i)...)
+			if err := tx.Put(key, val); err != nil {
+				return err
+			}
+		}
+		// Overwrite the buffers once more before the commit.
+		copy(key, "zzzzzz")
+		clear(val[:cap(val)])
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := dump(t, st.Current())
+	if len(got) != n {
+		t.Fatalf("store holds %d keys, want %d", len(got), n)
+	}
+	for i := 0; i < n; i++ {
+		if k := fmt.Sprintf("k%05d", i); got[k] != want(i) {
+			t.Fatalf("%s: read back %d bytes, want %d bytes of %q", k, len(got[k]), len(want(i)), want(i)[0])
+		}
+	}
+	if _, err := st.Verify(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestReadOnlyStore(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "specs.db")
 	st, err := Create(path)
@@ -432,6 +475,58 @@ func TestCompactReclaimsAndPreservesState(t *testing.T) {
 	defer st2.Close()
 	if v, ok, _ := st2.Current().Get([]byte("post-compact")); !ok || string(v) != "yes" {
 		t.Fatalf("post-compact write lost: %q %v", v, ok)
+	}
+}
+
+// TestCompactWritesSettledSubtreesAsItGoes compacts a store several
+// times compactFlushKeys large, so the rewrite writes settled subtrees
+// mid-iteration, and checks the result holds every key, has no dead
+// page, and compacts again to the same size.
+func TestCompactWritesSettledSubtreesAsItGoes(t *testing.T) {
+	st := tmpStore(t)
+	const n = 5*compactFlushKeys + 77
+	perm := rand.New(rand.NewSource(3)).Perm(n)
+	for b := 0; b < n; b += 1000 {
+		err := st.Update(func(tx *Tx) error {
+			for _, i := range perm[b:min(b+1000, n)] {
+				val := strings.Repeat(string(rune('a'+i%26)), 20+i*131%(2*ovfChunk))
+				if err := tx.Put([]byte(fmt.Sprintf("key/%06d", i)), []byte(val)); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := dump(t, st.Current())
+	cs, err := st.Compact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := dump(t, st.Current())
+	if len(after) != n || len(before) != n {
+		t.Fatalf("compaction kept %d of %d keys", len(after), len(before))
+	}
+	for k, v := range before {
+		if after[k] != v {
+			t.Fatalf("compaction changed %q", k)
+		}
+	}
+	vs, err := st.Verify()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if live := vs.TreePages + vs.OverflowPages + 2; live != cs.PagesAfter {
+		t.Fatalf("compacted file has %d pages, %d of them live", cs.PagesAfter, live)
+	}
+	again, err := st.Compact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.PagesAfter != cs.PagesAfter {
+		t.Fatalf("second compaction: %d pages, first: %d", again.PagesAfter, cs.PagesAfter)
 	}
 }
 

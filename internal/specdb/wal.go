@@ -82,6 +82,10 @@ type Options struct {
 	// copy-on-write pages over allocated data pages) at or above it.
 	// 0 disables automatic compaction.
 	CompactThreshold float64
+
+	// work carries the genesis write CreateOptions counted into the new
+	// handle's counts; nil starts them at zero.
+	work *WorkCounts
 }
 
 // WALRecord is one decoded write-ahead-log record. Seq is the
@@ -202,21 +206,16 @@ func scanWAL(f file) (recs []*WALRecord, validLen int64, err error) {
 // folds if the commit policy trips. Caller holds s.mu and has already
 // advanced s.nextOrd for any ordinal the operation allocated.
 func (s *Store) appendRecordLocked(op byte, key, val []byte) error {
-	if s.readOnly {
-		return ErrReadOnly
+	if err := s.writableLocked(); err != nil {
+		return err
 	}
-	if s.closed {
-		return fmt.Errorf("specdb: store is closed")
-	}
-	rec := &WALRecord{
-		Op:      op,
-		Seq:     s.walSeq + 1,
-		NextOrd: s.nextOrd,
-		Key:     append([]byte(nil), key...),
-		Val:     append([]byte(nil), val...),
-	}
+	rec := &WALRecord{Op: op, Seq: s.walSeq + 1, NextOrd: s.nextOrd, Key: key, Val: val}
+	buf := EncodeWALRecord(rec)
+	// The staged record keeps its own copy of key and val: the slices
+	// of the encoded frame.
+	body := buf[4 : len(buf)-8]
+	rec.Key, rec.Val = body[walBodyHdr:walBodyHdr+len(key)], body[walBodyHdr+len(key):]
 	if s.wal != nil {
-		buf := EncodeWALRecord(rec)
 		if _, err := s.wal.WriteAt(buf, s.walLen); err != nil {
 			return fmt.Errorf("specdb: append wal record: %w", err)
 		}
@@ -291,37 +290,11 @@ func (s *Store) foldLocked() error {
 			return fmt.Errorf("specdb: sync wal: %w", err)
 		}
 	}
-	snap := s.cur.Load()
-	tx := &Tx{
-		base:    snap,
-		root:    snap.meta.root,
-		baseN:   snap.meta.npages,
-		npages:  snap.meta.npages,
-		pages:   make(map[uint64][]byte),
-		nextOrd: snap.meta.nextOrd,
-		count:   snap.meta.count,
-	}
-	for _, rec := range s.pend {
-		switch rec.Op {
-		case WALOpPut:
-			if err := tx.Put(rec.Key, rec.Val); err != nil {
-				return err
-			}
-		case WALOpDelete:
-			if _, err := tx.Delete(rec.Key); err != nil {
-				return err
-			}
-		}
-	}
-	tx.nextOrd = s.nextOrd
-	if err := s.commit(snap, tx); err != nil {
+	if err := s.commitRecords(s.pend); err != nil {
 		return err
 	}
-	s.pend = nil
-	s.pendKey = make(map[string]*WALRecord)
-	s.pendBytes = 0
-	s.pendGen++
-	if err := s.resetWALLocked(); err != nil {
+	// The batch is committed: drop it and truncate the log.
+	if err := s.discardLocked(); err != nil {
 		return err
 	}
 	s.maybeCompactLocked()
@@ -438,7 +411,7 @@ func buildOverlay(sn *Snapshot, tail []*WALRecord) (*overlay, error) {
 		if prev, ok := ov.recs[k]; ok {
 			present = prev.Op == WALOpPut
 		} else {
-			_, found, err := treeGet(sn, sn.meta.root, rec.Key)
+			_, found, err := treeGet(sn, ref{id: sn.meta.root}, rec.Key)
 			if err != nil {
 				return nil, err
 			}
@@ -486,7 +459,7 @@ func (ov *overlay) iterMerged(sn *Snapshot, lo []byte, fn func(key, val []byte) 
 		return true, nil
 	}
 	stopped := false
-	err := treeIterFrom(sn, sn.meta.root, lo, func(key, val []byte) (bool, error) {
+	err := treeIterFrom(sn, ref{id: sn.meta.root}, lo, func(key, val []byte) (bool, error) {
 		cont, err := emit(key)
 		if err != nil || !cont {
 			stopped = true
@@ -528,11 +501,8 @@ func (s *Store) Batch() *Batch { return &Batch{s: s} }
 func (b *Batch) Flush() error {
 	b.s.mu.Lock()
 	defer b.s.mu.Unlock()
-	if b.s.readOnly {
-		return ErrReadOnly
-	}
-	if b.s.closed {
-		return fmt.Errorf("specdb: store is closed")
+	if err := b.s.writableLocked(); err != nil {
+		return err
 	}
 	return b.s.foldLocked()
 }
@@ -543,11 +513,8 @@ func (b *Batch) Flush() error {
 func (b *Batch) Discard() error {
 	b.s.mu.Lock()
 	defer b.s.mu.Unlock()
-	if b.s.readOnly {
-		return ErrReadOnly
-	}
-	if b.s.closed {
-		return fmt.Errorf("specdb: store is closed")
+	if err := b.s.writableLocked(); err != nil {
+		return err
 	}
 	return b.s.discardLocked()
 }
@@ -562,11 +529,8 @@ func (b *Batch) Pending() int {
 // put appends one raw put through the WAL (spec-level wrappers add
 // ordinal bookkeeping on top).
 func (b *Batch) put(key, val []byte) error {
-	if len(key) == 0 {
-		return fmt.Errorf("specdb: empty key")
-	}
-	if len(key) > MaxKeyLen {
-		return fmt.Errorf("%w: %d bytes (max %d)", ErrKeyTooLong, len(key), MaxKeyLen)
+	if err := checkKey(key); err != nil {
+		return err
 	}
 	b.s.mu.Lock()
 	defer b.s.mu.Unlock()
