@@ -24,8 +24,6 @@ type Graph struct {
 	// may invoke it.
 	CallerSites map[*ir.Func][]*ir.Stmt
 
-	// byField indexes ops-table registrations: struct -> field -> impls.
-	byField map[string]map[string][]*ir.Func
 	// bySig indexes ops-registered functions by signature key.
 	bySig map[string][]*ir.Func
 }
@@ -36,21 +34,12 @@ func Build(prog *ir.Program) *Graph {
 		Prog:        prog,
 		Callees:     make(map[*ir.Stmt][]*ir.Func),
 		CallerSites: make(map[*ir.Func][]*ir.Stmt),
-		byField:     make(map[string]map[string][]*ir.Func),
 		bySig:       make(map[string][]*ir.Func),
 	}
 	for _, oa := range prog.OpsAssigns {
 		fn, ok := prog.Funcs[oa.FuncName]
 		if !ok {
 			continue
-		}
-		m := g.byField[oa.StructName]
-		if m == nil {
-			m = make(map[string][]*ir.Func)
-			g.byField[oa.StructName] = m
-		}
-		if !containsFunc(m[oa.FieldName], fn) {
-			m[oa.FieldName] = append(m[oa.FieldName], fn)
 		}
 		key := cir.SigString(fn.Decl.Sig())
 		if !containsFunc(g.bySig[key], fn) {
@@ -100,8 +89,8 @@ func (g *Graph) resolve(fn *ir.Func, s *ir.Stmt) []*ir.Func {
 			}
 		}
 		if st.IsStruct() && st.Struct != nil {
-			if impls := g.byField[st.Struct.Name][fe.Name]; len(impls) > 0 {
-				return sortedFuncs(impls)
+			if impls := g.Prog.ImplsOf(st.Struct.Name, fe.Name); len(impls) > 0 {
+				return impls
 			}
 		}
 	}
@@ -130,7 +119,7 @@ func (g *Graph) CallersOf(fn *ir.Func) []*ir.Stmt { return g.CallerSites[fn] }
 // ImplsOfInterface returns the implementations of a function-pointer
 // interface identified as "struct.field".
 func (g *Graph) ImplsOfInterface(structName, fieldName string) []*ir.Func {
-	return sortedFuncs(g.byField[structName][fieldName])
+	return g.Prog.ImplsOf(structName, fieldName)
 }
 
 // ReachableWithin returns the set of functions reachable from roots within

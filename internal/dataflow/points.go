@@ -56,12 +56,14 @@ func (c Cell) String() string {
 	return fmt.Sprintf("%s+%d", c.Obj.Name, c.Off)
 }
 
-func (c Cell) key() string {
-	return fmt.Sprintf("%d:%d", c.Obj.ID, c.Off)
-}
+// cellKey identifies a cell by object ID and offset: the map key of
+// CellSet and of the points-to relation.
+type cellKey struct{ obj, off int }
+
+func (c Cell) key() cellKey { return cellKey{c.Obj.ID, c.Off} }
 
 // CellSet is a set of cells.
-type CellSet map[string]Cell
+type CellSet map[cellKey]Cell
 
 func (s CellSet) add(c Cell) bool {
 	k := c.key()
@@ -107,7 +109,7 @@ type PointsTo struct {
 	nextID int
 
 	// pts maps pointer cells to their pointees.
-	pts map[string]CellSet
+	pts map[cellKey]CellSet
 	// cellIndex remembers every cell seen per object for AnyOff expansion.
 	cellIndex map[int]map[int]bool
 
@@ -136,7 +138,7 @@ func Analyze(prog *ir.Program) *PointsTo {
 		varObj:    make(map[*ir.Var]*Object),
 		symObj:    make(map[*ir.Var]*Object),
 		heap:      make(map[*ir.Stmt]*Object),
-		pts:       make(map[string]CellSet),
+		pts:       make(map[cellKey]CellSet),
 		cellIndex: make(map[int]map[int]bool),
 	}
 	pt.seed()
@@ -490,11 +492,14 @@ func (pt *PointsTo) CellsOf(fn *ir.Func, l ir.Loc) []Cell {
 }
 
 // MayAlias reports whether two access paths may denote overlapping memory.
-// Two cells overlap when they share the object and have equal offsets or
-// either side is the AnyOff summary.
 func (pt *PointsTo) MayAlias(fn1 *ir.Func, l1 ir.Loc, fn2 *ir.Func, l2 ir.Loc) bool {
-	c1 := pt.cellsOfLoc(fn1, l1)
-	c2 := pt.cellsOfLoc(fn2, l2)
+	return cellsOverlap(pt.cellsOfLoc(fn1, l1), pt.cellsOfLoc(fn2, l2))
+}
+
+// cellsOverlap reports whether two resolved cell sets may share memory:
+// some pair of cells has the same object and equal offsets, or either
+// side is the AnyOff summary.
+func cellsOverlap(c1, c2 CellSet) bool {
 	for _, a := range c1 {
 		for _, b := range c2 {
 			if a.Obj != b.Obj {

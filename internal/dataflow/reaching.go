@@ -36,6 +36,13 @@ type flowDef struct {
 	effect bool // call-effect write (weak fallback, see DefLoc)
 }
 
+// depKey identifies a def-use edge for de-duplication: defining
+// statement, using statement and the Key of the loc read.
+type depKey struct {
+	def, use *ir.Stmt
+	loc      string
+}
+
 // isStrong reports whether a write to loc can kill previous writes: the
 // path must be concrete (no deref, no unknown offset).
 func isStrong(l ir.Loc) bool {
@@ -174,19 +181,9 @@ func FlowAnalyze(fn *ir.Func, pts *PointsTo) *FuncFlow {
 	}
 	n := len(defs)
 
-	alias := func(a, b ir.Loc) bool {
-		if a.Base == b.Base && a.SameShape(b) {
-			return true
-		}
-		// Distinct address-untaken direct locals cannot alias.
-		if isStrong(a) && isStrong(b) && a.Base != b.Base {
-			return false
-		}
-		if pts == nil {
-			return a.Base == b.Base
-		}
-		return pts.MayAlias(fn, a, fn, b)
-	}
+	// defCells[j] holds the cells of defs[j].loc once some use needed
+	// them: each def's access path is resolved at most once per call.
+	defCells := make([]CellSet, n)
 
 	// Per-block GEN/KILL over def bitsets.
 	type bits []bool
@@ -248,20 +245,42 @@ func FlowAnalyze(fn *ir.Func, pts *PointsTo) *FuncFlow {
 	}
 
 	// Def-use chains: replay each block.
-	seenDep := make(map[[3]interface{}]bool)
+	seenDep := make(map[depKey]bool)
+	var regular, effects []int // per-use buffers, reused across uses
 	for _, b := range fn.Blocks {
 		cur := append(bits{}, in[b]...)
 		for _, s := range b.Stmts {
 			for _, u := range EffectiveUses(fn, s) {
 				// Gather reaching defs, preferring regular definitions;
 				// call-effect writes are weak fallbacks only.
-				var regular, effects []int
+				regular, effects = regular[:0], effects[:0]
+				uStrong := isStrong(u)
+				var uCells CellSet // resolved on first need, once per use
 				for j := range defs {
-					if !cur[j] || defs[j].stmt == s {
+					d := &defs[j]
+					if !cur[j] || d.stmt == s {
 						continue
 					}
-					if alias(defs[j].loc, u) {
-						if defs[j].effect {
+					var may bool
+					switch {
+					case d.loc.Base == u.Base && d.loc.SameShape(u):
+						may = true
+					case d.strong && uStrong && d.loc.Base != u.Base:
+						// Distinct address-untaken direct locals cannot alias.
+						may = false
+					case pts == nil:
+						may = d.loc.Base == u.Base
+					default:
+						if defCells[j] == nil {
+							defCells[j] = pts.cellsOfLoc(fn, d.loc)
+						}
+						if uCells == nil {
+							uCells = pts.cellsOfLoc(fn, u)
+						}
+						may = cellsOverlap(defCells[j], uCells)
+					}
+					if may {
+						if d.effect {
 							effects = append(effects, j)
 						} else {
 							regular = append(regular, j)
@@ -272,8 +291,12 @@ func FlowAnalyze(fn *ir.Func, pts *PointsTo) *FuncFlow {
 				if len(chosen) == 0 {
 					chosen = effects
 				}
+				uKey := ""
+				if len(chosen) > 0 {
+					uKey = u.Key()
+				}
 				for _, j := range chosen {
-					key := [3]interface{}{defs[j].stmt, s, u.Key()}
+					key := depKey{defs[j].stmt, s, uKey}
 					if !seenDep[key] {
 						seenDep[key] = true
 						dep := DataDep{Def: defs[j].stmt, Use: s, Loc: u}

@@ -164,8 +164,8 @@ func mergeBugs(perSpec [][]*Bug) []*Bug {
 	var out []*Bug
 	for _, bugs := range perSpec {
 		for _, b := range bugs {
-			if !seen[b.Key()] {
-				seen[b.Key()] = true
+			if k := b.Key(); !seen[k] {
+				seen[k] = true
 				out = append(out, b)
 			}
 		}

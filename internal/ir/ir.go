@@ -7,7 +7,7 @@ package ir
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -339,6 +339,9 @@ type Program struct {
 	Structs    map[string]*cir.StructDef
 	OpsAssigns []OpsAssign
 
+	// ops indexes OpsAssigns in both directions; collectOps maintains it.
+	ops opsIndex
+
 	nextVarID  int
 	nextStmtID int
 	allStmts   []*Stmt
@@ -426,15 +429,44 @@ func (p *Program) collectOps(f *cir.File, g *cir.GlobalDecl) {
 		if fd == nil || !fd.Type.IsFuncPtr() {
 			continue
 		}
-		p.OpsAssigns = append(p.OpsAssigns, OpsAssign{
+		oa := OpsAssign{
 			StructName: sd.Name,
 			FieldName:  fld.Name,
 			FuncName:   id.Name,
 			OpsVar:     g.Name,
 			File:       f.Name,
 			Line:       g.Pos.Line,
-		})
+		}
+		p.OpsAssigns = append(p.OpsAssigns, oa)
+		p.ops.add(oa.FuncName, oa.InterfaceName())
 	}
+}
+
+// opsIndex is the ops-table registration relation between function
+// names and interface names ("struct.field"), kept sorted and
+// de-duplicated from both sides so that InterfacesOf and ImplsOf answer
+// without scanning OpsAssigns.
+type opsIndex struct {
+	ifacesOf map[string][]string // function name -> interface names
+	implsOf  map[string][]string // interface name -> function names
+}
+
+func (x *opsIndex) add(fn, iface string) {
+	if x.ifacesOf == nil {
+		x.ifacesOf = make(map[string][]string)
+		x.implsOf = make(map[string][]string)
+	}
+	x.ifacesOf[fn] = insertSorted(x.ifacesOf[fn], iface)
+	x.implsOf[iface] = insertSorted(x.implsOf[iface], fn)
+}
+
+// insertSorted adds s to the sorted set list unless it is already there.
+func insertSorted(list []string, s string) []string {
+	i, found := slices.BinarySearch(list, s)
+	if found {
+		return list
+	}
+	return slices.Insert(list, i, s)
 }
 
 // IsAPI reports whether name is an external API (declared but not defined).
@@ -457,38 +489,25 @@ func (p *Program) APIProto(name string) *cir.FuncDecl {
 // AllStmts returns every statement in the program, in deterministic order.
 func (p *Program) AllStmts() []*Stmt { return p.allStmts }
 
-// ImplsOf returns, in deterministic order, the functions registered in ops
+// ImplsOf returns, in name order, the defined functions registered in ops
 // tables as implementations of the interface "structName.fieldName".
 func (p *Program) ImplsOf(structName, fieldName string) []*Func {
 	var out []*Func
-	seen := map[string]bool{}
-	for _, oa := range p.OpsAssigns {
-		if oa.StructName == structName && oa.FieldName == fieldName && !seen[oa.FuncName] {
-			seen[oa.FuncName] = true
-			if fn, ok := p.Funcs[oa.FuncName]; ok {
-				out = append(out, fn)
-			}
+	for _, name := range p.ops.implsOf[structName+"."+fieldName] {
+		if fn, ok := p.Funcs[name]; ok {
+			out = append(out, fn)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
-// InterfacesOf returns the interface names (struct.field) that fn implements.
+// InterfacesOf returns, sorted, the interface names (struct.field) that fn
+// is registered under. The slice is the program's own index entry and is
+// read-only: callers must not modify its elements (appending is safe, its
+// capacity is clipped).
 func (p *Program) InterfacesOf(fn *Func) []string {
-	var out []string
-	seen := map[string]bool{}
-	for _, oa := range p.OpsAssigns {
-		if oa.FuncName == fn.Name {
-			key := oa.InterfaceName()
-			if !seen[key] {
-				seen[key] = true
-				out = append(out, key)
-			}
-		}
-	}
-	sort.Strings(out)
-	return out
+	list := p.ops.ifacesOf[fn.Name]
+	return list[:len(list):len(list)]
 }
 
 // CallersOfAPI returns every call statement to the named function/API.
