@@ -36,12 +36,12 @@ func BenchmarkResidentDetect(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := r.Detect(context.Background(), specs, DetectRunOptions{}); err != nil {
+	if _, _, err := r.DetectGrouped(context.Background(), specs, DetectRunOptions{}); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := r.Detect(context.Background(), specs, DetectRunOptions{})
+		res, _, err := r.DetectGrouped(context.Background(), specs, DetectRunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -67,7 +67,7 @@ func TestResidentDetectSpeedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Detect(ctx, specs, DetectRunOptions{}); err != nil {
+	if _, _, err := r.DetectGrouped(ctx, specs, DetectRunOptions{}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -82,7 +82,7 @@ func TestResidentDetectSpeedup(t *testing.T) {
 		}
 	})
 	resident := medianRunNs(t, runs, func() {
-		res, err := r.Detect(ctx, specs, DetectRunOptions{})
+		res, _, err := r.DetectGrouped(ctx, specs, DetectRunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

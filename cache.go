@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 
 	"seal/internal/cache"
 	"seal/internal/detect"
@@ -18,7 +19,7 @@ import (
 // can produce different results for the same inputs (new relation kinds,
 // changed path classification, different dedup): old entries become
 // unreachable and every run recomputes.
-const Version = "0.5"
+const Version = "0.6"
 
 // CacheStats is a snapshot of the persistent analysis cache's counters:
 // hits, misses, writes, corrupt entries degraded to misses, bytes moved,
@@ -105,53 +106,6 @@ func SpecSetHash(specs []*Spec) (string, error) {
 // identity in detection cache keys and serve request envelopes.
 func TargetHash(files map[string]string) string { return cache.FileSetHash(files) }
 
-// detectKey is the TierDetect fingerprint chain: schema version (inside
-// cache.Key) → seal analysis version → config → target sources → spec set.
-func detectKey(targetHash, specHash string, limits Limits) string {
-	return cache.Key(
-		"tier:"+cache.TierDetect,
-		"seal:"+Version,
-		detectConfigPart(limits),
-		"target:"+targetHash,
-		"specs:"+specHash,
-	)
-}
-
-// detectKeyFor builds the detection key for a spec list, or "" when the
-// specs cannot be fingerprinted (such a run is simply not memoizable).
-func detectKeyFor(targetHash string, specs []*Spec, limits Limits) string {
-	specHash, err := SpecSetHash(specs)
-	if err != nil {
-		return ""
-	}
-	return detectKey(targetHash, specHash, limits)
-}
-
-// detectCacheEntry is the TierDetect payload: everything a warm run needs
-// to reproduce a cold run's observable output — rendered-report records,
-// per-unit manifest summaries, the deterministic substrate counters, and
-// the solver-check delta — with no live IR.
-type detectCacheEntry struct {
-	Recs      []detect.BugRec  `json:"recs"`
-	Units     []detect.UnitRec `json:"units"`
-	Stats     detect.Stats     `json:"stats"`
-	SatChecks int64            `json:"sat_checks"`
-	// Shard is the wire form of Recs (dedup key, producing-spec identity,
-	// spec ordinal per record) that a shard executor returns to its
-	// coordinator. Written by every clean run since the scale-out tier
-	// landed; entries predating it have Shard == nil and simply cannot be
-	// replayed for shard requests when Recs is non-empty (plain Detect
-	// replay is unaffected).
-	Shard []detect.ShardBug `json:"shard,omitempty"`
-}
-
-// shardReplayable reports whether a cached entry carries enough to answer
-// a shard request: either the wire records are present, or there were no
-// bugs at all (nothing to carry).
-func shardReplayable(ent *detectCacheEntry) bool {
-	return ent != nil && (ent.Shard != nil || len(ent.Recs) == 0)
-}
-
 // regionsKey is the TierRegions fingerprint: target content and closure
 // depth only, so the artifact survives spec-DB changes.
 func regionsKey(targetHash string) string {
@@ -216,72 +170,181 @@ type DetectRunOptions struct {
 	CacheMaxBytes int64
 }
 
-// DetectDirCached runs detection over the tree at root with an optional
-// persistent cache. On a warm hit the sources are fingerprinted but never
-// parsed: the result (report records, unit summaries, substrate counters,
-// solver-check delta) is replayed from disk, byte-identical to the cold
-// run's observable output. Degraded or quarantined runs are never written
-// to the cache.
-func DetectDirCached(ctx context.Context, root string, specs []*Spec, opts DetectRunOptions) (*DetectResult, error) {
-	files, err := ReadSourceDir(root)
-	if err != nil {
-		return nil, err
-	}
-	return DetectFilesCached(ctx, files, specs, opts)
+// detectGroupKey is the TierDetectGroup fingerprint chain: schema version
+// (inside cache.Key) → seal analysis version → config → target sources →
+// the group's scope → the group's own spec subset. Only the last part
+// changes when a spec inside the group is edited.
+func detectGroupKey(targetHash, scope, groupHash string, limits Limits) string {
+	return cache.Key(
+		"tier:"+cache.TierDetectGroup,
+		"seal:"+Version,
+		detectConfigPart(limits),
+		"target:"+targetHash,
+		"scope:"+scope,
+		"specs:"+groupHash,
+	)
 }
 
-// DetectFilesCached is DetectDirCached over an in-memory source set. It is
-// the one-shot form of the resident flow: a warm hit replays from disk
-// before any parsing happens; a miss builds a throwaway Resident, primes
-// its region closures from the cache, and runs through the same compute
-// core a long-running service uses.
+// GroupedStats reports how incremental a grouped detection was.
+type GroupedStats struct {
+	// Groups is the region-group count of the corpus.
+	Groups int
+	// Warm counts groups replayed from the memo or the persistent cache.
+	Warm int
+	// Computed counts groups that ran on the substrate.
+	Computed int
+}
+
+// DetectFilesCached is DetectFilesGrouped for callers that do not need the
+// incrementality report.
 func DetectFilesCached(ctx context.Context, files map[string]string, specs []*Spec, opts DetectRunOptions) (*DetectResult, error) {
+	res, _, err := DetectFilesGrouped(ctx, files, specs, opts)
+	return res, err
+}
+
+// DetectFilesGrouped runs a budgeted detection over an in-memory source set
+// at region-group granularity: each group replays from the persistent
+// cache when its own spec subset is unchanged. When every group hits, the
+// sources are fingerprinted but never parsed; otherwise a throwaway
+// Resident is built, primed from the cache, and only the missed groups
+// compute. The merged result is byte-identical to an uncached run.
+func DetectFilesGrouped(ctx context.Context, files map[string]string, specs []*Spec, opts DetectRunOptions) (*DetectResult, GroupedStats, error) {
 	pc, err := openCache(opts.CacheDir, opts.CacheReadOnly, opts.CacheMaxBytes)
 	if err != nil {
-		return nil, err
+		return nil, GroupedStats{}, err
 	}
-	targetHash := cache.FileSetHash(files)
-	var key string
-	if pc.Enabled() {
-		key = detectKeyFor(targetHash, specs, opts.Limits)
-		if key != "" {
-			var ent detectCacheEntry
-			if pc.Get(cache.TierDetect, key, &ent) {
-				return replayDetect(&ent, opts.Obs, pc), nil
+	acquire := func() (*Resident, error) {
+		r, err := NewResidentFiles(files)
+		if err != nil {
+			return nil, err
+		}
+		r.primeRegions(pc)
+		return r, nil
+	}
+	return detectGrouped(ctx, cache.FileSetHash(files), acquire, specs, opts, pc, nil)
+}
+
+// DetectGrouped is DetectFilesGrouped pinned to this resident substrate,
+// with the group memo in front of the persistent cache: a repeated request
+// replays from memory, and a spec edit recomputes only the groups it
+// touched.
+func (r *Resident) DetectGrouped(ctx context.Context, specs []*Spec, opts DetectRunOptions) (*DetectResult, GroupedStats, error) {
+	pc, err := openCache(opts.CacheDir, opts.CacheReadOnly, opts.CacheMaxBytes)
+	if err != nil {
+		return nil, GroupedStats{}, err
+	}
+	return detectGrouped(ctx, r.TargetHash, func() (*Resident, error) { return r, nil }, specs, opts, pc, &r.memo)
+}
+
+// detectGrouped is the one cached, budgeted detection core. It probes
+// every region group against the memo and then the disk cache, acquires
+// the substrate only when some group missed, runs all missed groups in one
+// pass opts.Workers wide, caches each clean group, and folds every group —
+// replayed and computed alike — into one result. Replayed groups re-record
+// their unit spans so warm and cold manifests agree. acquire is called at
+// most once; memo may be nil (persistent cache only).
+func detectGrouped(ctx context.Context, targetHash string, acquire func() (*Resident, error), specs []*Spec, opts DetectRunOptions, pc *cache.Cache, memo *sync.Map) (*DetectResult, GroupedStats, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	groups := detect.ScopeGroups(specs)
+	gs := GroupedStats{Groups: len(groups)}
+	opts.Obs.SetUnitsTotal(len(groups))
+	scopes := make([]string, len(groups))
+	keys := make([]string, len(groups))
+	parts := make([]detect.Part, len(groups))
+	var missed []int
+	for gi, g := range groups {
+		scopes[gi] = specs[g[0]].Scope()
+		subset := make([]*Spec, len(g))
+		for k, si := range g {
+			subset[k] = specs[si]
+		}
+		if ghash, err := SpecSetHash(subset); err == nil {
+			keys[gi] = detectGroupKey(targetHash, scopes[gi], ghash, opts.Limits)
+		}
+		ent := probeGroup(keys[gi], memo, pc)
+		if ent == nil {
+			missed = append(missed, gi)
+			continue
+		}
+		gs.Warm++
+		parts[gi] = *ent
+		for _, u := range ent.Units {
+			if span := opts.Obs.Unit("detect", u.ID); span != nil {
+				span.AddStage("slice", 0, 0)
+				span.AddStage("solve", 0, 0)
+				span.SetCounts(u.Specs, u.Bugs)
+				span.End()
 			}
 		}
 	}
-	t, err := LoadFiles(files)
-	if err != nil {
-		return nil, err
-	}
-	r := NewResident(t)
-	r.primeRegions(pc)
-	res, _, runErr := r.runDetect(ctx, specs, opts, pc, key)
-	return res, runErr
-}
 
-// replayDetect reconstructs a DetectResult from a cache entry, re-recording
-// one OK unit span per region group (zero-duration slice/solve stages, the
-// original spec/bug counts) so the redacted manifest of a warm run is
-// byte-identical to the cold run's. Bugs stays nil — rendering goes through
-// Recs, the single render path.
-func replayDetect(ent *detectCacheEntry, rec *Recorder, pc *cache.Cache) *DetectResult {
-	rec.SetUnitsTotal(len(ent.Units))
-	for _, u := range ent.Units {
-		if span := rec.Unit("detect", u.ID); span != nil {
-			span.AddStage("slice", 0, 0)
-			span.AddStage("solve", 0, 0)
-			span.SetCounts(u.Specs, u.Bugs)
-			span.End()
+	var runErr error
+	if len(missed) > 0 {
+		r, err := acquire()
+		if err != nil {
+			return nil, gs, err
+		}
+		todo := make([][]int, len(missed))
+		for k, gi := range missed {
+			todo[k] = groups[gi]
+		}
+		outs, err := r.sh.RunGroups(ctx, specs, todo, opts.Workers, opts.Limits, opts.Obs)
+		runErr = err
+		// The cache writes run after the compute pass, not on its workers:
+		// a file-system call on a worker would wait for a busy processor
+		// each time it returns.
+		cleanComputed := false
+		for k, gi := range missed {
+			oc := &outs[k]
+			parts[gi] = oc.Part
+			if oc.Ran {
+				gs.Computed++
+			}
+			if !oc.Clean() || keys[gi] == "" {
+				pc.NoteUncacheable()
+				continue
+			}
+			cleanComputed = true
+			ent := oc.Part // a copy: the memo must not pin outs
+			if memo != nil {
+				memo.Store(keys[gi], &ent)
+			}
+			pc.Put(cache.TierDetectGroup, keys[gi], &ent)
+		}
+		if cleanComputed {
+			pc.Put(cache.TierRegions, regionsKey(targetHash),
+				r.sh.RegionsSnapshot(detect.DefaultMaxCalleeDepth))
 		}
 	}
-	res := &detect.Result{
-		Recs:      ent.Recs,
-		Units:     ent.Units,
-		Stats:     ent.Stats,
-		SatChecks: ent.SatChecks,
-	}
+
+	res := detect.Fold(scopes, groups, parts)
 	res.PCache = pc.Stats()
-	return res
+	if runErr == nil {
+		runErr = ctx.Err()
+	}
+	return res, gs, runErr
+}
+
+// probeGroup looks a group key up in the memo, then in the persistent
+// cache, promoting a disk hit into the memo. Nil is a miss; an empty key
+// (an unfingerprintable group) always misses.
+func probeGroup(key string, memo *sync.Map, pc *cache.Cache) *detect.Part {
+	if key == "" {
+		return nil
+	}
+	if memo != nil {
+		if v, ok := memo.Load(key); ok {
+			return v.(*detect.Part)
+		}
+	}
+	var ent detect.Part
+	if !pc.Get(cache.TierDetectGroup, key, &ent) {
+		return nil
+	}
+	if memo != nil {
+		memo.Store(key, &ent)
+	}
+	return &ent
 }

@@ -640,6 +640,10 @@ func cmdDetect(args []string) error {
 			storeSeq: storeSeq,
 		})
 	} else {
+		files, err := seal.ReadSourceDir(*target)
+		if err != nil {
+			return err
+		}
 		pg := of.startProgress(rec, "detect")
 		runOpts := seal.DetectRunOptions{
 			Workers:       *workers,
@@ -649,15 +653,11 @@ func cmdDetect(args []string) error {
 			CacheReadOnly: cf.readOnly,
 			CacheMaxBytes: cf.maxBytes,
 		}
-		if *specDB != "" {
-			var gs seal.GroupedStats
-			res, gs, runErr = seal.DetectDirGrouped(context.Background(), *target, db.Specs, runOpts)
-			if *stats {
-				fmt.Fprintf(os.Stderr, "grouped: %d region groups, %d warm, %d computed\n",
-					gs.Groups, gs.Warm, gs.Computed)
-			}
-		} else {
-			res, runErr = seal.DetectDirCached(context.Background(), *target, db.Specs, runOpts)
+		var gs seal.GroupedStats
+		res, gs, runErr = seal.DetectFilesGrouped(context.Background(), files, db.Specs, runOpts)
+		if *stats && *specDB != "" {
+			fmt.Fprintf(os.Stderr, "grouped: %d region groups, %d warm, %d computed\n",
+				gs.Groups, gs.Warm, gs.Computed)
 		}
 		pg.Stop()
 	}

@@ -46,9 +46,6 @@ const (
 	// TierInferRun holds run-level inference summaries (solver work
 	// counters for metric replay), keyed over the whole corpus.
 	TierInferRun = "infer-run"
-	// TierDetect holds per-target detection results (bug records, unit
-	// outcomes, substrate counters), keyed over target + spec DB.
-	TierDetect = "detect"
 	// TierRegions holds per-target region-closure artifacts (root →
 	// callee-closure function names), keyed over the target only, so they
 	// survive spec-DB changes.
@@ -146,8 +143,10 @@ type envelope struct {
 }
 
 func (c *Cache) path(tier, key string) string {
-	// Two-level fanout keeps directories small on big corpora.
-	return filepath.Join(c.root, tier, key[:2], key+".json")
+	// One flat directory per tier: detection caches one entry per region
+	// group, so a fanout directory per entry would cost a cold run one
+	// mkdir per group; hashed directory indexes keep large tiers fast.
+	return filepath.Join(c.root, tier, key+".json")
 }
 
 // Get looks up (tier, key) and decodes the payload into out. It returns

@@ -95,8 +95,7 @@ type ShardResult struct {
 	// in the shard's group order.
 	Failures []*budget.FailureRecord `json:"failures,omitempty"`
 	Degraded []budget.Degradation    `json:"degraded,omitempty"`
-	// Stats are the shard's substrate counters for this run (the delta, on
-	// a resident worker).
+	// Stats are the substrate work the shard's units counted for this run.
 	Stats detect.Stats `json:"stats"`
 	// SatChecks is the shard's solver satisfiability-check delta.
 	SatChecks int64 `json:"sat_checks"`

@@ -16,6 +16,7 @@ import (
 	"seal/internal/infer"
 	"seal/internal/ir"
 	"seal/internal/pdg"
+	"seal/internal/progindex"
 	"seal/internal/solver"
 	"seal/internal/spec"
 	"seal/internal/vfp"
@@ -91,6 +92,25 @@ type Detector struct {
 	// resident serving, in-process shard workers — never absorb each
 	// other's checks into their per-run figures.
 	satChecks int64
+	// work and pdg count the substrate work this detector triggered (path
+	// cache, index, enumerations, truncations; PDG ensure calls and
+	// builds), for the same reason; the substrate's lifetime counters
+	// count it too.
+	work Stats
+	pdg  pdg.Stats
+}
+
+// unitStats returns the substrate work this detector triggered.
+func (d *Detector) unitStats() Stats {
+	s := d.work
+	s.EnsureCalls, s.EnsureBuilds, s.PDGBuildNanos = d.pdg.EnsureCalls, d.pdg.EnsureBuilds, d.pdg.BuildNanos
+	return s
+}
+
+// index answers one program-index query, counted against this detector.
+func (d *Detector) index(fn *ir.Func) *progindex.FuncIndex {
+	d.work.IndexLookups++
+	return d.sh.Idx.Func(fn)
 }
 
 // stageClock accumulates the wall time of a unit's detection stages. Plain
@@ -205,6 +225,7 @@ func (d *Detector) Regions(s *spec.Spec) []*ir.Func {
 		return d.G.Prog.ImplsOf(s.Iface[:dot], s.Iface[dot+1:])
 	}
 	if s.API != "" {
+		d.work.IndexLookups++
 		callers := d.sh.Idx.CallersOf(s.API)
 		out := make([]*ir.Func, len(callers))
 		copy(out, callers)
@@ -221,7 +242,7 @@ func (d *Detector) regionFuncs(fn *ir.Func) []*ir.Func {
 
 // region returns the cached closure context of a region root.
 func (d *Detector) region(fn *ir.Func) *regionCtx {
-	return d.sh.region(fn, d.MaxCalleeDepth)
+	return d.sh.region(fn, d.MaxCalleeDepth, &d.work)
 }
 
 // checkRegion evaluates the spec inside one region function.
@@ -272,7 +293,7 @@ func (d *Detector) paths(src *ir.Stmt, rc *regionCtx) []*vfp.Path {
 	if d.DisableMemo {
 		return d.sl.PathsFrom(src)
 	}
-	return d.sh.pathsFor(src, rc, d.MaxCalleeDepth, d.sl)
+	return d.sh.pathsFor(src, rc, d.MaxCalleeDepth, d.sl, &d.work)
 }
 
 // sources instantiates the spec's V inside the region (the inverse of
@@ -282,14 +303,14 @@ func (d *Detector) sources(v spec.Value, rc *regionCtx) []*ir.Stmt {
 	var out []*ir.Stmt
 	switch v.Kind {
 	case spec.VIfaceArg:
-		for _, ps := range d.sh.Idx.Func(rc.root).ParamDefs {
+		for _, ps := range d.index(rc.root).ParamDefs {
 			if ps.ParamVar().ParamIndex == v.ArgIndex {
 				out = append(out, ps)
 			}
 		}
 	case spec.VAPIRet:
 		for _, f := range rc.funcs {
-			for _, st := range d.sh.Idx.Func(f).CallsByCallee[v.API] {
+			for _, st := range d.index(f).CallsByCallee[v.API] {
 				if st.LHS != nil {
 					out = append(out, st)
 				}
@@ -297,13 +318,13 @@ func (d *Detector) sources(v spec.Value, rc *regionCtx) []*ir.Stmt {
 		}
 	case spec.VLiteral:
 		for _, f := range rc.funcs {
-			out = append(out, d.sh.Idx.Func(f).IntLits[v.Lit]...)
+			out = append(out, d.index(f).IntLits[v.Lit]...)
 		}
 	case spec.VGlobal:
 		for _, f := range rc.funcs {
 			// Index prefilter: only run the flow scan over functions that
 			// syntactically read the global at all.
-			if !d.sh.Idx.Func(f).ReadsGlobals[v.Global] {
+			if !d.index(f).ReadsGlobals[v.Global] {
 				continue
 			}
 			flow := d.G.Flow(f)
@@ -354,7 +375,7 @@ func (d *Detector) regionHasAPI(rc *regionCtx, api string) bool {
 		return true
 	}
 	for _, f := range rc.funcs {
-		if len(d.sh.Idx.Func(f).CallsByCallee[api]) > 0 {
+		if len(d.index(f).CallsByCallee[api]) > 0 {
 			return true
 		}
 	}
@@ -416,7 +437,7 @@ func (d *Detector) checkRequiredReach(s *spec.Spec, rc *regionCtx) *Bug {
 // Surfacing the candidate in the report helps triage.
 func (d *Detector) similarAPICalled(rc *regionCtx, want string) string {
 	for _, f := range rc.funcs {
-		for _, callee := range d.sh.Idx.Func(f).CalleeNames {
+		for _, callee := range d.index(f).CalleeNames {
 			if callee == want || !d.G.Prog.IsAPI(callee) {
 				continue
 			}

@@ -32,10 +32,9 @@ type ShardBug struct {
 	Rec    BugRec `json:"rec"`
 }
 
-// ShardBugsOf flattens a merged bug list into wire form. bugs and recs are
-// parallel (recs = Records(bugs)); specs is the job's spec list, indexed to
-// recover each bug's producing-spec ordinal. Nil-safe on all inputs.
-func ShardBugsOf(bugs []*Bug, recs []BugRec, specs []*spec.Spec) []ShardBug {
+// shardBugsOf flattens a merged bug list into wire form; specs is the
+// list each bug's producing-spec ordinal indexes.
+func shardBugsOf(bugs []*Bug, specs []*spec.Spec) []ShardBug {
 	if len(bugs) == 0 {
 		return nil
 	}
@@ -43,15 +42,9 @@ func ShardBugsOf(bugs []*Bug, recs []BugRec, specs []*spec.Spec) []ShardBug {
 	for i, s := range specs {
 		ord[s] = i
 	}
-	out := make([]ShardBug, 0, len(bugs))
+	out := make([]ShardBug, len(bugs))
 	for i, b := range bugs {
-		sb := ShardBug{Key: b.Key(), SpecID: b.Spec.ID, Ord: ord[b.Spec]}
-		if i < len(recs) {
-			sb.Rec = recs[i]
-		} else {
-			sb.Rec = Record(b)
-		}
-		out = append(out, sb)
+		out[i] = ShardBug{Key: b.Key(), SpecID: b.Spec.ID, Ord: ord[b.Spec], Rec: Record(b)}
 	}
 	return out
 }

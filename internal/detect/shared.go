@@ -186,27 +186,6 @@ func (s Stats) Merge(o Stats) Stats {
 	}
 }
 
-// Sub returns the substrate-counter difference s−o, attributing to one run
-// the work done on a resident substrate between two Stats snapshots. Only
-// the monotonically accumulating substrate counters are subtracted; the
-// per-run robustness verdicts (QuarantinedUnits, DegradedUnits,
-// RetriedUnits) are already run-scoped and pass through from s unchanged.
-func (s Stats) Sub(o Stats) Stats {
-	return Stats{
-		EnsureCalls:      s.EnsureCalls - o.EnsureCalls,
-		EnsureBuilds:     s.EnsureBuilds - o.EnsureBuilds,
-		PathCacheHits:    s.PathCacheHits - o.PathCacheHits,
-		PathCacheMisses:  s.PathCacheMisses - o.PathCacheMisses,
-		IndexLookups:     s.IndexLookups - o.IndexLookups,
-		PathEnumerations: s.PathEnumerations - o.PathEnumerations,
-		PDGBuildNanos:    s.PDGBuildNanos - o.PDGBuildNanos,
-		Truncations:      s.Truncations - o.Truncations,
-		QuarantinedUnits: s.QuarantinedUnits,
-		DegradedUnits:    s.DegradedUnits,
-		RetriedUnits:     s.RetriedUnits,
-	}
-}
-
 // NewShared builds the substrate for a target program.
 func NewShared(prog *ir.Program) *Shared {
 	return NewSharedOnGraph(pdg.New(prog))
@@ -299,21 +278,25 @@ func (sh *Shared) Resident() ResidentStats {
 // worker needs its own (a Detector carries per-region scratch state); any
 // number of them may run at once over one Shared.
 func (sh *Shared) Detector() *Detector {
-	sl := vfp.NewSlicer(sh.G)
-	sl.OnTruncate = func(vfp.TruncateEvent) { sh.truncations.Add(1) }
-	sl.OnEnum = func() { sh.enumerations.Add(1) }
-	return &Detector{
-		G:              sh.G,
-		sh:             sh,
-		sl:             sl,
-		ab:             infer.NewAbstracter(sh.G),
-		MaxCalleeDepth: DefaultMaxCalleeDepth,
+	d := &Detector{sh: sh, MaxCalleeDepth: DefaultMaxCalleeDepth}
+	d.G = sh.G.ForUnit(&d.pdg)
+	d.sl = vfp.NewSlicer(d.G)
+	d.ab = infer.NewAbstracter(d.G)
+	d.sl.OnTruncate = func(vfp.TruncateEvent) {
+		sh.truncations.Add(1)
+		d.work.Truncations++
 	}
+	d.sl.OnEnum = func() {
+		sh.enumerations.Add(1)
+		d.work.PathEnumerations++
+	}
+	return d
 }
 
 // region returns the cached closure of root at the given callee depth,
-// computing it on first use via the program index.
-func (sh *Shared) region(root *ir.Func, depth int) *regionCtx {
+// computing it on first use via the program index; the lookups that costs
+// are counted into work, the computing unit's counters.
+func (sh *Shared) region(root *ir.Func, depth int, work *Stats) *regionCtx {
 	key := regionKey{root: root, depth: depth}
 	sh.regionMu.Lock()
 	defer sh.regionMu.Unlock()
@@ -326,6 +309,7 @@ func (sh *Shared) region(root *ir.Func, depth int) *regionCtx {
 	for i := 0; i < depth && len(frontier) > 0; i++ {
 		var next []*ir.Func
 		for _, f := range frontier {
+			work.IndexLookups++
 			for _, callee := range sh.Idx.Func(f).DefinedCallees {
 				if !seen[callee] {
 					seen[callee] = true
@@ -419,7 +403,7 @@ func (sh *Shared) PrimeRegions(snap map[string][]string, depth int) {
 // truncated by the computing unit's dynamic budget is never published (the
 // entry is removed; waiters loop and recompute with their own budget), so a
 // starved unit cannot silently degrade its neighbors.
-func (sh *Shared) pathsFor(src *ir.Stmt, rc *regionCtx, depth int, sl *vfp.Slicer) []*vfp.Path {
+func (sh *Shared) pathsFor(src *ir.Stmt, rc *regionCtx, depth int, sl *vfp.Slicer, work *Stats) []*vfp.Path {
 	key := pathKey{src: src, root: rc.root, depth: depth}
 	skey := srcKey{src: src, depth: depth}
 	shard := &sh.pathShards[uint(src.ID)%numPathShards]
@@ -435,7 +419,7 @@ func (sh *Shared) pathsFor(src *ir.Stmt, rc *regionCtx, depth int, sl *vfp.Slice
 			if e.volatile {
 				continue // computed under an exhausted budget; recompute
 			}
-			sh.pathHits.Add(1)
+			sh.hit(work)
 			return e.paths
 		}
 		// Exact miss: a sibling region may already hold this source's
@@ -445,7 +429,7 @@ func (sh *Shared) pathsFor(src *ir.Stmt, rc *regionCtx, depth int, sl *vfp.Slice
 		if e := shard.reusable(skey, rc.set); e != nil {
 			shard.m[key] = e
 			shard.mu.Unlock()
-			sh.pathHits.Add(1)
+			sh.hit(work)
 			return e.paths
 		}
 		// Still a miss: an isomorphic sibling region (same canonical
@@ -457,7 +441,7 @@ func (sh *Shared) pathsFor(src *ir.Stmt, rc *regionCtx, depth int, sl *vfp.Slice
 			close(e.done)
 			shard.m[key] = e
 			shard.mu.Unlock()
-			sh.pathHits.Add(1)
+			sh.hit(work)
 			return ps
 		}
 		e := &pathEntry{done: make(chan struct{})}
@@ -466,6 +450,7 @@ func (sh *Shared) pathsFor(src *ir.Stmt, rc *regionCtx, depth int, sl *vfp.Slice
 		shard.mu.Unlock()
 
 		sh.pathMisses.Add(1)
+		work.PathCacheMisses++
 		trunc0 := sl.BudgetTruncations
 		fp := make(map[*ir.Func]bool)
 		prevTrace := sl.ScopeTrace
@@ -493,6 +478,12 @@ func (sh *Shared) pathsFor(src *ir.Stmt, rc *regionCtx, depth int, sl *vfp.Slice
 		}
 		return e.paths
 	}
+}
+
+// hit counts one path-cache hit for the substrate and for the asking unit.
+func (sh *Shared) hit(work *Stats) {
+	sh.pathHits.Add(1)
+	work.PathCacheHits++
 }
 
 // reusable scans the completed entries for (src, depth) and returns the

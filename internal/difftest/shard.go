@@ -39,15 +39,27 @@ type shardSurface struct {
 }
 
 // surfaceOf builds the comparison surface from a finished run exactly as
-// the CLI does (same render path, same artifact builders).
+// the CLI does (same render path, same artifact builders), with the
+// substrate-dependent PDG counters redacted.
 func surfaceOf(rec *seal.Recorder, res *detect.Result, nSpecs int, targetHash, specsHash string, base seal.ObsBaseline) (*shardSurface, error) {
+	return buildSurface(rec, res, nSpecs, targetHash, specsHash, base, false)
+}
+
+// buildSurface is surfaceOf with a choice of redaction: strict keeps the
+// PDG ensure and build counters (plain Redact / RedactTimings), for
+// comparisons between runs over one substrate arrangement.
+func buildSurface(rec *seal.Recorder, res *detect.Result, nSpecs int, targetHash, specsHash string, base seal.ObsBaseline, strict bool) (*shardSurface, error) {
 	rendered := report.RenderDetectStdout(res.Recs, res.Degraded, res.Failures, nSpecs, true)
 	art, err := seal.FinishDetectRun(rec, res, nSpecs, 1,
 		serve.DetectInputs(targetHash, specsHash), 0, base)
 	if err != nil {
 		return nil, err
 	}
-	manifest, err := art.Manifest.RedactSubstrate().MarshalIndent()
+	m, metrics := art.Manifest.RedactSubstrate(), obs.RedactSubstrateTimings(art.Metrics)
+	if strict {
+		m, metrics = art.Manifest.Redact(), obs.RedactTimings(art.Metrics)
+	}
+	manifest, err := m.MarshalIndent()
 	if err != nil {
 		return nil, err
 	}
@@ -55,7 +67,7 @@ func surfaceOf(rec *seal.Recorder, res *detect.Result, nSpecs int, targetHash, s
 		report:   rendered,
 		recs:     NormalizeRecs(res.Recs),
 		manifest: string(manifest),
-		metrics:  obs.RedactSubstrateTimings(art.Metrics),
+		metrics:  metrics,
 	}, nil
 }
 

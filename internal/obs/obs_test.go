@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"fmt"
 	"runtime/pprof"
 	"sync"
 	"testing"
@@ -112,6 +113,35 @@ func TestRunAutoStarts(t *testing.T) {
 	named := r.StartRun("eval")
 	if r.Run() != named {
 		t.Fatal("StartRun did not replace the root")
+	}
+}
+
+// TestRecorderConcurrentFirstUse releases 32 goroutines at once against a
+// recorder that never had StartRun: each opens and ends one unit, so they
+// race to create the implicit root. Every unit must land on the same root
+// — the manifest lists all 32 and progress reads 32/32.
+func TestRecorderConcurrentFirstUse(t *testing.T) {
+	const n = 32
+	r := New()
+	r.SetUnitsTotal(n)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			r.Unit("detect", fmt.Sprintf("u%02d", i)).End()
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	m := r.BuildManifest("detect", n, nil, 0)
+	if len(m.Units) != n {
+		t.Fatalf("manifest lists %d units, want %d", len(m.Units), n)
+	}
+	if done, total, _, _ := r.Progress(); done != n || total != n {
+		t.Fatalf("progress %d/%d, want %d/%d", done, total, n, n)
 	}
 }
 

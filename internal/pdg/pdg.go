@@ -90,8 +90,18 @@ type buildState struct {
 	panicVal any
 }
 
-// Graph is the (demand-driven) PDG over a program.
+// Graph is the (demand-driven) PDG over a program. A *Graph is a view of
+// the shared graph state; ForUnit returns another view over the same state
+// that also counts its own construction work.
 type Graph struct {
+	*graph
+	// unit, when non-nil, receives this view's share of the construction
+	// counters (plain fields: a unit view is used by one goroutine).
+	unit *Stats
+}
+
+// graph is the state every view of one Graph shares.
+type graph struct {
 	Prog *ir.Program
 	PTS  *dataflow.PointsTo
 	CG   *callgraph.Graph
@@ -121,7 +131,7 @@ type Graph struct {
 // New creates a PDG manager for prog; per-function subgraphs are built on
 // demand via Ensure.
 func New(prog *ir.Program) *Graph {
-	return &Graph{
+	return &Graph{graph: &graph{
 		Prog:         prog,
 		PTS:          dataflow.Analyze(prog),
 		CG:           callgraph.Build(prog),
@@ -132,7 +142,16 @@ func New(prog *ir.Program) *Graph {
 		building:     make(map[*ir.Func]*buildState),
 		globalStores: make(map[string][]*ir.Stmt),
 		globalLoads:  make(map[string][]*ir.Stmt),
-	}
+	}}
+}
+
+// ForUnit returns a view of the same graph whose queries and builds count
+// into unit as well as into the graph's lifetime Stats, so concurrent units
+// sharing one graph each know exactly the work they triggered: every
+// Ensure they asked for, and the builds they performed rather than waited
+// on. The view must stay on the unit's goroutine.
+func (g *Graph) ForUnit(unit *Stats) *Graph {
+	return &Graph{graph: g.graph, unit: unit}
 }
 
 // BuildAll materializes the PDG for every function (used by whole-corpus
@@ -196,6 +215,9 @@ func (g *Graph) Ensure(fn *ir.Func) {
 		return
 	}
 	g.ensureCalls.Add(1)
+	if g.unit != nil {
+		g.unit.EnsureCalls++
+	}
 
 	g.mu.RLock()
 	st, ok := g.building[fn]
@@ -219,7 +241,12 @@ func (g *Graph) Ensure(fn *ir.Func) {
 	func() {
 		t0 := time.Now()
 		defer func() {
-			g.buildNanos.Add(time.Since(t0).Nanoseconds())
+			ns := time.Since(t0).Nanoseconds()
+			g.buildNanos.Add(ns)
+			if g.unit != nil {
+				g.unit.EnsureBuilds++
+				g.unit.BuildNanos += ns
+			}
 			st.panicVal = recover()
 			close(st.done)
 		}()

@@ -326,22 +326,22 @@ type DetectRequest struct {
 // artifacts (manifest + Prometheus metrics, byte-identical to the batch
 // CLI's after redaction).
 type DetectResponse struct {
-	Epoch      int64                 `json:"epoch"`
-	TargetHash string                `json:"target_hash"`
-	SpecsHash  string                `json:"specs_hash"`
-	Specs      int                   `json:"specs"`
+	Epoch      int64  `json:"epoch"`
+	TargetHash string `json:"target_hash"`
+	SpecsHash  string `json:"specs_hash"`
+	Specs      int    `json:"specs"`
 	// StoreSeq / Grouped are set on a spec-store-backed daemon: the store
 	// snapshot the specs came from, and how incremental the grouped
 	// detection was (output bytes are identical either way).
-	StoreSeq uint64             `json:"store_seq,omitempty"`
-	Grouped  *seal.GroupedStats `json:"grouped,omitempty"`
-	Report     string                `json:"report"`
-	Bugs       []detect.BugRec       `json:"bugs"`
-	Degraded   []seal.Degradation    `json:"degraded,omitempty"`
-	Failures   []*seal.FailureRecord `json:"failures,omitempty"`
-	Stats      seal.DetectStats      `json:"stats"`
-	Manifest   *seal.Manifest        `json:"manifest,omitempty"`
-	Metrics    string                `json:"metrics,omitempty"`
+	StoreSeq uint64                `json:"store_seq,omitempty"`
+	Grouped  *seal.GroupedStats    `json:"grouped,omitempty"`
+	Report   string                `json:"report"`
+	Bugs     []detect.BugRec       `json:"bugs"`
+	Degraded []seal.Degradation    `json:"degraded,omitempty"`
+	Failures []*seal.FailureRecord `json:"failures,omitempty"`
+	Stats    seal.DetectStats      `json:"stats"`
+	Manifest *seal.Manifest        `json:"manifest,omitempty"`
+	Metrics  string                `json:"metrics,omitempty"`
 }
 
 func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
@@ -370,17 +370,12 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 		CacheReadOnly: s.cfg.CacheReadOnly,
 		CacheMaxBytes: s.cfg.CacheMaxBytes,
 	}
-	var res *seal.DetectResult
-	var runErr error
+	// Region-group granularity, so a spec edit since the last request
+	// recomputes only the groups it touched.
+	res, gs, runErr := snap.Resident.DetectGrouped(r.Context(), snap.Specs, runOpts)
 	var grouped *seal.GroupedStats
 	if s.specStore != nil {
-		// Store-backed: region-group granularity, so a spec edit since the
-		// last request recomputes only the groups it touched.
-		var gs seal.GroupedStats
-		res, gs, runErr = snap.Resident.DetectGrouped(r.Context(), snap.Specs, runOpts)
 		grouped = &gs
-	} else {
-		res, runErr = snap.Resident.Detect(r.Context(), snap.Specs, runOpts)
 	}
 	if runErr != nil {
 		var failures []*seal.FailureRecord
@@ -635,7 +630,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.reg.Gauge("seal_serve_resident_pdg_funcs", "functions with a materialized PDG subgraph").Set(float64(rs.PDGFuncs))
 	s.reg.Gauge("seal_serve_resident_regions", "cached region closures").Set(float64(rs.Regions))
 	s.reg.Gauge("seal_serve_resident_path_entries", "cached path-set entries").Set(float64(rs.PathEntries))
-	s.reg.Gauge("seal_serve_memo_entries", "memoized detection results").Set(float64(snap.Resident.MemoEntries()))
+	s.reg.Gauge("seal_serve_memo_entries", "memoized region-group detection results").Set(float64(snap.Resident.MemoEntries()))
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	s.reg.WritePrometheus(w)
 }

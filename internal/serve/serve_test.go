@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"seal"
+	"seal/internal/detect"
 	"seal/internal/faultinject"
 	"seal/internal/patch"
 	"seal/internal/randprog"
@@ -48,6 +49,13 @@ func corpus(t *testing.T) (map[string]string, []*seal.Spec) {
 		t.Fatal(corpusErr)
 	}
 	return corpusFiles, corpusSpecs
+}
+
+// corpusGroups is the corpus's region-group count: the number of entries
+// one full detection stores in the resident memo.
+func corpusGroups(t *testing.T) int {
+	_, specs := corpus(t)
+	return len(detect.ScopeGroups(specs))
 }
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -295,8 +303,8 @@ func TestServeWarmRestart(t *testing.T) {
 	if st.Substrate.PathEnumerations != 0 {
 		t.Fatalf("warm restart recomputed %d path enumerations, want 0", st.Substrate.PathEnumerations)
 	}
-	if st.MemoEntries != 1 {
-		t.Fatalf("warm restart memo entries = %d, want 1", st.MemoEntries)
+	if want := corpusGroups(t); st.MemoEntries != want {
+		t.Fatalf("warm restart memo entries = %d, want %d", st.MemoEntries, want)
 	}
 }
 
@@ -320,7 +328,7 @@ func TestServeMetrics(t *testing.T) {
 	}
 	for _, want := range []string{
 		"seal_serve_requests_total", "seal_serve_detects_total",
-		"seal_serve_epoch 1", "seal_serve_memo_entries 1",
+		"seal_serve_epoch 1", fmt.Sprintf("seal_serve_memo_entries %d", corpusGroups(t)),
 		"seal_serve_resident_pdg_funcs",
 	} {
 		if !strings.Contains(text, want) {
@@ -346,7 +354,7 @@ func TestServeMemoReplayIdentity(t *testing.T) {
 	}
 	var st StatsResponse
 	do(t, ts, "GET", "/stats", "", &st)
-	if st.MemoEntries != 1 {
-		t.Fatalf("memo entries = %d, want 1 (replay must not re-store)", st.MemoEntries)
+	if want := corpusGroups(t); st.MemoEntries != want {
+		t.Fatalf("memo entries = %d, want %d (replay must not re-store)", st.MemoEntries, want)
 	}
 }

@@ -47,11 +47,13 @@ func resolveSpecStore(ref *coord.SpecStoreRef) ([]*spec.Spec, string, string) {
 // handleShard is the worker half of the scale-out tier: it executes one
 // coordinator-assigned shard of a detection corpus over the resident
 // snapshot and answers with the wire-form result (bug records with dedup
-// keys, unit summaries, manifest spans, robustness records, substrate
-// counters). The same budgeted, cached pipeline as /detect runs
-// underneath — a shard request warms and reads the persistent cache
-// exactly like a whole-corpus run, which is what lets a restarted worker
-// replay instead of recompute.
+// keys and job-local ordinals, unit summaries, manifest spans, robustness
+// records, substrate counters). It runs the same region-group core as
+// /detect — memo, then persistent cache, then one compute pass over the
+// missed groups — and answers with the fold's pre-merge records, so a
+// restarted worker replays every group another run already cached, and
+// a shard overlapping an earlier request's groups recomputes none of
+// them.
 func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	if !s.requireMethod(w, r, http.MethodPost) {
 		return
@@ -87,7 +89,7 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	}
 	rec := obs.New()
 	rec.StartRun("shard")
-	res, bugs, runErr := snap.Resident.DetectShard(r.Context(), jobSpecs.Specs, seal.DetectRunOptions{
+	res, _, runErr := snap.Resident.DetectGrouped(r.Context(), jobSpecs.Specs, seal.DetectRunOptions{
 		Workers:       workers,
 		Limits:        job.Limits,
 		Obs:           rec,
@@ -107,7 +109,7 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, coord.ShardResult{
 		Shard:         job.Shard,
 		TargetHash:    snap.TargetHash(),
-		Bugs:          bugs,
+		Bugs:          res.Wire,
 		Units:         res.Units,
 		ManifestUnits: m.Units,
 		Failures:      res.Failures,
